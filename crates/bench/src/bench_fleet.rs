@@ -4,7 +4,7 @@
 //! percent receive each observation round (sessions rotate through the
 //! duty cycle), and drives it twice per cell: always-resident
 //! (`hibernate_after = 0`) and hibernating (`hibernate_after = 1`, idle
-//! residents evicted to compact serialized form at every drain
+//! residents evicted to their compact checkpoint form at every drain
 //! barrier). Before any number is written, each cell asserts the two
 //! runs bit-identical — outcomes round by round, plus a deterministic
 //! sample of final session checkpoints — so the bench doubles as the
@@ -13,7 +13,8 @@
 //! Reported per cell: the peak resident-session count of both runs
 //! (sampled after every drain barrier, i.e. the steady-state memory
 //! high-water; the mid-submit transient is reported separately),
-//! serialized bytes per hibernated session, and rounds/s. The headline
+//! bytes per hibernated session (the compact value's footprint, see
+//! `Grid::hibernated_bytes`), and rounds/s. The headline
 //! is the S = 4096 cell: hibernation must cut peak residency ≥ 10×.
 //!
 //! A second section measures checkpoint compaction on a 512-round
@@ -116,8 +117,8 @@ struct FleetRun {
     /// Max hot sessions observed anywhere, including mid-submit (the
     /// revive-before-evict transient).
     peak_transient: usize,
-    /// Serialized bytes per hibernated session at end of run (0 when
-    /// nothing hibernated).
+    /// Hibernarium bytes (compact-checkpoint footprint) per hibernated
+    /// session at end of run (0 when nothing hibernated).
     bytes_per_session: f64,
     wall_ms: f64,
 }

@@ -201,6 +201,37 @@ impl CompactCheckpoint {
         self.tracker.validate().map_err(EngineError::Smc)
     }
 
+    /// The value's in-memory footprint in bytes, computed without
+    /// serializing it: the inline size of the checkpoint and of each
+    /// per-user track, plus the bytes its base64 pool strings and sample
+    /// blobs, heading histories, RNG words, lifecycle states and warm
+    /// flags own. Lengths, not allocator capacities, are counted. This
+    /// is what the grid's hibernarium reports per cold session.
+    pub(crate) fn footprint(&self) -> usize {
+        let users: usize = self
+            .tracker
+            .users
+            .iter()
+            .map(|u| {
+                std::mem::size_of_val(u)
+                    + u.pos_pool.len()
+                    + u.w_pool.len()
+                    + u.samples.len()
+                    + std::mem::size_of_val(u.history.as_slice())
+            })
+            .sum();
+        let rng: usize = self
+            .rng
+            .iter()
+            .map(|w| std::mem::size_of_val(w) + w.len())
+            .sum();
+        std::mem::size_of_val(self)
+            + users
+            + rng
+            + std::mem::size_of_val(self.users.as_slice())
+            + self.warm.as_ref().map_or(0, |w| w.hot.len())
+    }
+
     /// Expands back into the full [`SessionCheckpoint`] form. The
     /// expansion is bit-exact; restoring the result continues the
     /// session bit-identically.

@@ -35,9 +35,10 @@
 //!
 //! With [`GridConfig::hibernate_after`] set, a resident that sits
 //! through that many consecutive drains without ingesting a round is
-//! evicted to its compact serialized form (a [`CompactCheckpoint`] JSON
-//! string) in the shard's in-memory hibernarium; the live [`Session`] —
-//! samples, template, scratch references — is dropped. The next
+//! evicted to its compact form — the boxed [`CompactCheckpoint`] value
+//! itself, never its JSON text, so no grid path encodes or parses — in
+//! the shard's in-memory hibernarium; the live [`Session`] — samples,
+//! template, scratch references — is dropped. The next
 //! [`submit`](Grid::submit) (or a drain of restored pending rounds)
 //! revives it transparently. Eviction and revival are bit-transparent:
 //! the compact form expands exactly, so a fleet run with any eviction
@@ -77,7 +78,7 @@ pub struct GridConfig {
     /// `0` means the process-wide pool's width.
     pub threads: usize,
     /// Hibernation threshold: a resident idle for this many consecutive
-    /// drains (no rounds ingested) is evicted to its compact serialized
+    /// drains (no rounds ingested) is evicted to its compact checkpoint
     /// form; `0` (the default) keeps every session resident forever.
     /// Results never depend on this — eviction/revival is
     /// bit-transparent — only peak memory does.
@@ -136,15 +137,9 @@ pub enum Submit {
 enum Residency {
     /// A live session, ready to ingest.
     Hot(Box<Session>),
-    /// Evicted to the hibernarium: the session's compact checkpoint
-    /// JSON is all that remains in memory.
-    Cold(Hibernated),
-}
-
-/// One hibernarium entry: the compact serialized session.
-#[derive(Debug)]
-struct Hibernated {
-    json: String,
+    /// Evicted to the hibernarium: the session's compact checkpoint is
+    /// all that remains in memory.
+    Cold(Box<CompactCheckpoint>),
 }
 
 /// One resident session: its state (hot or hibernated), its queue of
@@ -166,27 +161,24 @@ impl Resident {
     /// Ensures the resident is hot, reviving it from the hibernarium if
     /// needed.
     fn revive(&mut self, engine: &Engine) -> Result<(), EngineError> {
-        if let Residency::Cold(hibernated) = &self.residency {
-            let session = engine.restore_compact_json(&hibernated.json)?;
+        if let Residency::Cold(compact) = &self.residency {
+            let session = engine.restore_compact(compact)?;
             telemetry::counter(names::GRID_HIBERNATE_REVIVALS, 1);
             self.residency = Residency::Hot(Box::new(session));
         }
         Ok(())
     }
 
-    /// Evicts a hot resident to its compact serialized form; a no-op on
-    /// an already-cold one.
-    fn hibernate(&mut self) -> Result<(), EngineError> {
+    /// Evicts a hot resident to its compact form; a no-op on an
+    /// already-cold one.
+    fn hibernate(&mut self) {
         if let Residency::Hot(session) = &self.residency {
             let compact = session.checkpoint_compact(HIBERNATE_HISTORY_CAP);
-            let json = serde_json::to_string(&compact)
-                .map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
             telemetry::counter(names::GRID_HIBERNATE_EVICTIONS, 1);
             telemetry::counter(names::GRID_SESSIONS_HIBERNATED, 1);
-            telemetry::record(names::HIST_GRID_HIBERNATE_BYTES, json.len() as f64);
-            self.residency = Residency::Cold(Hibernated { json });
+            telemetry::record(names::HIST_GRID_HIBERNATE_BYTES, compact.footprint() as f64);
+            self.residency = Residency::Cold(Box::new(compact));
         }
-        Ok(())
     }
 }
 
@@ -209,6 +201,9 @@ pub struct Grid {
     /// `assignments[id] == (shard, slot)` for every resident session.
     assignments: Vec<(usize, usize)>,
     rounds_ingested: u64,
+    /// Sum of every resident's `pending.len()`, kept in step by
+    /// `submit`, `adopt` and `drain`.
+    queued: usize,
 }
 
 /// The handle callers drive a grid through. There is no async runtime
@@ -248,6 +243,7 @@ impl Grid {
             hibernate_after: config.hibernate_after,
             assignments: Vec::new(),
             rounds_ingested: 0,
+            queued: 0,
         })
     }
 
@@ -269,13 +265,11 @@ impl Grid {
     /// Inserts a resident (with any pending rounds) under the next id.
     fn adopt(&mut self, residency: Residency, pending: Vec<ObservationRound>) -> SessionId {
         telemetry::counter(names::GRID_SESSIONS_RESIDENT, 1);
-        if let Residency::Cold(hibernated) = &residency {
+        if let Residency::Cold(compact) = &residency {
             telemetry::counter(names::GRID_SESSIONS_HIBERNATED, 1);
-            telemetry::record(
-                names::HIST_GRID_HIBERNATE_BYTES,
-                hibernated.json.len() as f64,
-            );
+            telemetry::record(names::HIST_GRID_HIBERNATE_BYTES, compact.footprint() as f64);
         }
+        self.queued += pending.len();
         let id = self.assignments.len();
         let shard = id % self.shards.len();
         let slot = self.shards[shard].residents.len();
@@ -315,6 +309,7 @@ impl Grid {
         resident.revive(engine)?;
         resident.rounds_idle = 0;
         resident.pending.push(round);
+        self.queued += 1;
         telemetry::counter(names::GRID_ROUNDS_QUEUED, 1);
         Ok(Submit::Queued)
     }
@@ -338,8 +333,7 @@ impl Grid {
     pub fn drain(&mut self) -> Result<u64, EngineError> {
         let _span = telemetry::span(names::SPAN_GRID_DRAIN);
         for shard in &self.shards {
-            let depth: usize = shard.residents.iter().map(|r| r.pending.len()).sum();
-            telemetry::record(names::HIST_GRID_QUEUE_DEPTH, depth as f64);
+            telemetry::record(names::HIST_GRID_QUEUE_DEPTH, shard_queued(shard) as f64);
         }
         let engine = &self.engine;
         let hibernate_after = self.hibernate_after;
@@ -386,6 +380,12 @@ impl Grid {
             }
         }
         self.rounds_ingested += total;
+        // A clean drain empties every queue; a failing one requeued the
+        // failed session's remainder and stopped its shard early.
+        self.queued = match first_error {
+            Some(_) => self.shards.iter().map(shard_queued).sum(),
+            None => 0,
+        };
         match first_error {
             Some(e) => Err(e),
             None => Ok(total),
@@ -423,13 +423,16 @@ impl Grid {
             .count()
     }
 
-    /// Total serialized bytes held by the hibernarium across all shards.
+    /// Total bytes held by the hibernarium across all shards: the sum of
+    /// every cold resident's compact-checkpoint footprint (its inline
+    /// size plus the string, history and vector bytes it owns), computed
+    /// without serializing — a memory estimate, not a JSON length.
     pub fn hibernated_bytes(&self) -> usize {
         self.shards
             .iter()
             .flat_map(|s| &s.residents)
             .map(|r| match &r.residency {
-                Residency::Cold(h) => h.json.len(),
+                Residency::Cold(compact) => compact.footprint(),
                 Residency::Hot(_) => 0,
             })
             .sum()
@@ -465,12 +468,9 @@ impl Grid {
     /// every resident session — the backlog a [`drain`](Grid::drain)
     /// barrier would clear. Drain schedulers use this to amortize the
     /// barrier over many connections instead of paying it per submit.
+    /// O(1): the grid keeps a running count.
     pub fn queued_total(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| &s.residents)
-            .map(|r| r.pending.len())
-            .sum()
+        self.queued
     }
 
     /// Rounds ingested over the grid's lifetime.
@@ -546,14 +546,15 @@ impl Grid {
     /// Snapshots every resident session — including rounds still queued —
     /// into one versioned checkpoint. Hot residents are captured in the
     /// full checkpoint form; hibernated residents are captured in their
-    /// compact form *without being revived* (the stored JSON is parsed,
-    /// never expanded into a live session). Outcome logs are derived
-    /// data and are not captured; take them first if you need them.
+    /// compact form *without being revived* (the stored compact value is
+    /// cloned, never expanded into a live session). Outcome logs are
+    /// derived data and are not captured; take them first if you need
+    /// them.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::CheckpointCodec`] when a hibernarium entry
-    /// fails to parse (never happens for entries this grid wrote).
+    /// None at present: cold entries are cloned, not decoded. The
+    /// `Result` keeps the signature stable for callers.
     pub fn checkpoint(&self) -> Result<GridCheckpoint, EngineError> {
         let sessions = self
             .assignments
@@ -562,19 +563,15 @@ impl Grid {
                 let resident = &self.shards[shard].residents[slot];
                 let (session, hibernated) = match &resident.residency {
                     Residency::Hot(session) => (Some(session.checkpoint()), None),
-                    Residency::Cold(h) => {
-                        let compact: CompactCheckpoint = serde_json::from_str(&h.json)
-                            .map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
-                        (None, Some(compact))
-                    }
+                    Residency::Cold(compact) => (None, Some(CompactCheckpoint::clone(compact))),
                 };
-                Ok(GridSessionCheckpoint {
+                GridSessionCheckpoint {
                     session,
                     hibernated,
                     pending: resident.pending.clone(),
-                })
+                }
             })
-            .collect::<Result<Vec<_>, EngineError>>()?;
+            .collect();
         Ok(GridCheckpoint {
             version: CHECKPOINT_VERSION,
             shards: self.shards.len(),
@@ -637,9 +634,7 @@ impl Grid {
                         });
                     }
                     compact.validate()?;
-                    let json = serde_json::to_string(compact)
-                        .map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
-                    Residency::Cold(Hibernated { json })
+                    Residency::Cold(Box::new(compact.clone()))
                 }
                 _ => {
                     return Err(EngineError::BadCheckpoint { field: "sessions" });
@@ -677,6 +672,11 @@ impl Grid {
     }
 }
 
+/// Rounds queued across one shard's residents.
+fn shard_queued(shard: &Shard) -> usize {
+    shard.residents.iter().map(|r| r.pending.len()).sum()
+}
+
 /// Ingests one shard's queues in session-id order, then applies the
 /// hibernation policy: residents that ingested nothing extend their idle
 /// streak and are evicted once it reaches `hibernate_after` (0 = never).
@@ -700,9 +700,7 @@ fn drain_shard(
             // (in parallel, per shard) never affects results.
             resident.rounds_idle += 1;
             if hibernate_after > 0 && resident.rounds_idle >= hibernate_after {
-                if let Err(e) = resident.hibernate() {
-                    return (ingested, Some(e));
-                }
+                resident.hibernate();
             }
             continue;
         }

@@ -29,7 +29,7 @@
 //! protocol credits sized within the grid's queue capacity make this
 //! rare.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -385,7 +385,7 @@ fn core_loop(grid: Grid, rx: Receiver<Event>, credits0: u32, drain_threshold: us
         grid,
         conns: BTreeMap::new(),
         pending: Vec::new(),
-        poisoned: Vec::new(),
+        poisoned: BTreeSet::new(),
         credits0,
     };
     loop {
@@ -425,7 +425,7 @@ struct Core {
     pending: Vec<PendingAck>,
     /// Sessions whose ingest failed mid-drain; their outcome streams are
     /// no longer attributable, so further submits are refused.
-    poisoned: Vec<u32>,
+    poisoned: BTreeSet<u32>,
     credits0: u32,
 }
 
@@ -727,9 +727,7 @@ impl Core {
                 Ok(_) => break,
                 Err(EngineError::SessionFailed { session, .. }) => {
                     let failed = session as u32;
-                    if !self.poisoned.contains(&failed) {
-                        self.poisoned.push(failed);
-                    }
+                    self.poisoned.insert(failed);
                     // Return the dropped rounds' credits (an empty ack)
                     // and a typed error to the submitting connection.
                     let mut dropped: Vec<PendingAck> = Vec::new();

@@ -101,7 +101,7 @@ pub const GRID_BATCHES: &str = "grid.batches";
 /// Sessions moved into the hibernarium (idle evictions plus cold
 /// adoptions at grid restore).
 pub const GRID_SESSIONS_HIBERNATED: &str = "grid.sessions.hibernated";
-/// Idle-policy evictions of live sessions to compact serialized form.
+/// Idle-policy evictions of live sessions to compact checkpoint form.
 pub const GRID_HIBERNATE_EVICTIONS: &str = "grid.hibernate.evictions";
 /// Hibernated sessions revived (by submit, mutable access, or a drain
 /// of restored pending rounds).
@@ -130,8 +130,9 @@ pub const HIST_SMC_ROUND_RESIDUAL: &str = "smc.round.residual";
 /// Rounds queued per shard at the start of each grid drain (shard-level
 /// backlog distribution).
 pub const HIST_GRID_QUEUE_DEPTH: &str = "grid.shard.queue_depth";
-/// Serialized bytes per session entering the hibernarium (compact
-/// checkpoint size distribution).
+/// Bytes per session entering the hibernarium: the compact checkpoint
+/// value's in-memory footprint (inline size plus the strings, history
+/// and vectors it owns), not a serialized length.
 pub const HIST_GRID_HIBERNATE_BYTES: &str = "grid.hibernate.bytes";
 /// Frame service latency in milliseconds: request frame decoded →
 /// response frame handed to the connection's writer.
