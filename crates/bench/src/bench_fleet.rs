@@ -17,12 +17,11 @@
 //! `Grid::hibernated_bytes`), and rounds/s. The headline
 //! is the S = 4096 cell: hibernation must cut peak residency ≥ 10×.
 //!
-//! A second section measures checkpoint compaction on a 512-round
-//! session: the single-shot `CompactCheckpoint` vs the full v2-shaped
-//! form, and — the number that matters for durable fleets — the cost of
-//! checkpointing a duty-cycled session after every grid round for 512
-//! rounds as a base-plus-`DeltaCheckpoint` stream vs a full snapshot
-//! per round. Results land in `BENCH_9.json`.
+//! A second section measures the cost of checkpointing a duty-cycled
+//! session after every grid round for 512 rounds — the number that
+//! matters for durable fleets — as a compact base plus one
+//! `DeltaCheckpoint` per round vs a whole checkpoint per round. Results
+//! land in `BENCH_9.json`.
 //!
 //! The sweep tops out at 16384 sessions to keep CI wall time sane; set
 //! `FLUXPRINT_FLEET_MAX_S` (e.g. to 102400) to append a larger cell —
@@ -231,9 +230,9 @@ fn assert_identical(resident: &FleetRun, hibernating: &FleetRun, sessions: usize
     );
 }
 
-/// The 512-round compaction section: single-shot compact-vs-full size,
-/// and the per-round durable-stream cost (full snapshot every round vs
-/// base + delta chain) of a 5%-duty-cycled session.
+/// The 512-round compaction section: the per-round durable-stream cost
+/// (a whole checkpoint every round vs base + delta chain) of a
+/// 5%-duty-cycled session.
 fn run_compaction(engine: &Engine, net: &Network) -> serde_json::Value {
     let trace = bench_trace(net, STREAM_ROUNDS);
     let config = SessionConfig {
@@ -247,25 +246,12 @@ fn run_compaction(engine: &Engine, net: &Network) -> serde_json::Value {
         warm: false,
     };
 
-    // Single shot: a session that ingested all 512 rounds.
-    let mut busy = engine.open_session(&config, 7).expect("session opens");
-    for round in &trace {
-        busy.ingest(round).expect("round ingests");
-    }
-    let full_json = busy.checkpoint_json().expect("checkpoint encodes");
-    let compact_json = serde_json::to_string(&busy.checkpoint_compact(2)).expect("compact encodes");
-    let single_shot_ratio = full_json.len() as f64 / compact_json.len() as f64;
-
-    // Durable stream: the same trace duty-cycled at 5%, checkpointed
-    // after every round — the fleet-durability write pattern. Full form
-    // every round vs a compact base plus one delta per round.
+    // The same trace duty-cycled at 5%, checkpointed after every round —
+    // the fleet-durability write pattern.
     let mut idle = engine.open_session(&config, 7).expect("session opens");
-    let base = idle.checkpoint();
-    let mut basis = DeltaBasis::new(&base).expect("basis opens");
+    let mut basis = DeltaBasis::new(&idle.checkpoint()).expect("basis opens");
     let mut full_stream = 0usize;
-    let mut delta_stream = serde_json::to_string(&base.compact(2))
-        .expect("base encodes")
-        .len();
+    let mut delta_stream = idle.checkpoint_json().expect("base encodes").len();
     let mut active_rounds = 0usize;
     for (i, round) in trace.iter().enumerate() {
         if i % STREAM_STRIDE == 0 {
@@ -278,18 +264,13 @@ fn run_compaction(engine: &Engine, net: &Network) -> serde_json::Value {
     }
     let stream_ratio = full_stream as f64 / delta_stream as f64;
     eprintln!(
-        "bench-fleet: compaction — single-shot {full} B -> {compact} B ({single_shot_ratio:.2}x), \
-         {STREAM_ROUNDS}-round stream {full_stream} B -> {delta_stream} B ({stream_ratio:.2}x)",
-        full = full_json.len(),
-        compact = compact_json.len(),
+        "bench-fleet: compaction — {STREAM_ROUNDS}-round stream {full_stream} B -> \
+         {delta_stream} B ({stream_ratio:.2}x)",
     );
     json!({
         "rounds": STREAM_ROUNDS,
         "active_rounds": active_rounds,
         "active_pct": ACTIVE_PCT,
-        "full_bytes": full_json.len(),
-        "compact_bytes": compact_json.len(),
-        "single_shot_ratio": single_shot_ratio,
         "full_stream_bytes": full_stream,
         "delta_stream_bytes": delta_stream,
         "stream_ratio": stream_ratio,

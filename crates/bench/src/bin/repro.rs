@@ -57,7 +57,8 @@
 //! be repeated.
 //!
 //! Exit codes mirror fluxlint v2: `0` success / gate pass, `1` gate
-//! regression, `2` usage error, `3` internal error.
+//! regression or a gate that matched no baseline row, `2` usage error,
+//! `3` internal error.
 //!
 //! `--quick` shrinks trial counts to smoke-test sizes; the EXPERIMENTS.md
 //! numbers come from full runs. `--seed` perturbs every generator's RNG

@@ -5,9 +5,9 @@
 //! every KPI the plan declares a [`Gate`](super::plan::Gate) for. The
 //! verdict maps to the workspace's usual exit-code scheme (fluxlint v2):
 //!
-//! * `0` — every gated KPI within tolerance (first runs with no
-//!   baseline also pass: there is nothing to regress against yet);
-//! * `1` — at least one regression;
+//! * `0` — every gated KPI within tolerance;
+//! * `1` — at least one regression, or no fresh row matched any
+//!   baseline row (a gate that compared nothing has proven nothing);
 //! * `2` — usage error (bad flags; decided by the binary);
 //! * `3` — internal error (unreadable registry, malformed rows).
 //!
@@ -25,6 +25,8 @@ pub enum Verdict {
     Pass,
     /// At least one gated KPI regressed beyond tolerance.
     Regression,
+    /// No fresh row had a baseline to compare against.
+    NoBaseline,
 }
 
 impl Verdict {
@@ -32,7 +34,7 @@ impl Verdict {
     pub fn exit_code(self) -> u8 {
         match self {
             Verdict::Pass => 0,
-            Verdict::Regression => 1,
+            Verdict::Regression | Verdict::NoBaseline => 1,
         }
     }
 }
@@ -63,6 +65,8 @@ pub struct Check {
 pub struct GateReport {
     /// Every KPI comparison performed.
     pub checks: Vec<Check>,
+    /// Current rows that found a baseline row.
+    pub matched: usize,
     /// Current rows with no matching baseline row (informational).
     pub unmatched: Vec<String>,
     /// Gated KPIs absent from the matched *baseline* row (informational:
@@ -74,12 +78,15 @@ pub struct GateReport {
 }
 
 impl GateReport {
-    /// The overall verdict.
+    /// The overall verdict: a regression wins, then a run that matched
+    /// no baseline at all, else a pass.
     pub fn verdict(&self) -> Verdict {
-        if self.current_missing.is_empty() && self.checks.iter().all(|c| c.pass) {
-            Verdict::Pass
-        } else {
+        if !self.current_missing.is_empty() || self.checks.iter().any(|c| !c.pass) {
             Verdict::Regression
+        } else if self.matched == 0 {
+            Verdict::NoBaseline
+        } else {
+            Verdict::Pass
         }
     }
 
@@ -114,6 +121,7 @@ impl GateReport {
             verdict = match self.verdict() {
                 Verdict::Pass => "PASS",
                 Verdict::Regression => "REGRESSION",
+                Verdict::NoBaseline => "NO BASELINE",
             },
         ));
         out
@@ -137,6 +145,7 @@ pub fn evaluate(plan: &Plan, baseline: &[Row], current: &[Row]) -> GateReport {
             report.unmatched.push(key);
             continue;
         };
+        report.matched += 1;
         for (kpi, gate) in &plan.gates {
             let Some(&cur) = row.kpis.get(kpi) else {
                 report.current_missing.push(format!("{kpi} [{key}]"));
@@ -260,10 +269,24 @@ mod tests {
     }
 
     #[test]
-    fn missing_baseline_passes_missing_current_kpi_fails() {
+    fn missing_baseline_is_no_pass_missing_current_kpi_fails() {
         let plan = plan(r#"{"e":{"abs":0.1,"rel":0.0,"direction":"lower"}}"#);
-        // No baseline at all: first run, nothing to regress against.
+        // No baseline at all: the gate compared nothing, so it must not
+        // report a pass or exit 0.
         let report = evaluate(&plan, &[], &[row(&plan, 0, &[("e", 1.0)])]);
+        assert_eq!(report.verdict(), Verdict::NoBaseline);
+        assert_ne!(report.verdict().exit_code(), 0);
+        assert_eq!(report.unmatched.len(), 1);
+        let text = report.render();
+        assert!(!text.contains("PASS"), "{text}");
+        assert!(text.contains("→ NO BASELINE"), "{text}");
+        // One matched row is enough for a verdict; the other is noted.
+        let base = [row(&plan, 0, &[("e", 1.0)])];
+        let report = evaluate(
+            &plan,
+            &base,
+            &[row(&plan, 0, &[("e", 1.0)]), row(&plan, 1, &[("e", 1.0)])],
+        );
         assert_eq!(report.verdict(), Verdict::Pass);
         assert_eq!(report.unmatched.len(), 1);
         // Baseline exists but the current row dropped the gated KPI.
@@ -276,6 +299,23 @@ mod tests {
         let report = evaluate(&plan, &old_base, &[row(&plan, 0, &[("e", 1.0)])]);
         assert_eq!(report.verdict(), Verdict::Pass);
         assert_eq!(report.baseline_missing.len(), 1);
+    }
+
+    /// Baseline rows recorded before a factor existed match fresh rows
+    /// that carry it at its default, and gate them.
+    #[test]
+    fn rows_predating_a_factor_gate_at_its_default() {
+        let plan = plan(r#"{"e":{"abs":0.0,"rel":0.0,"direction":"lower"}}"#);
+        let old = [row(&plan, 0, &[("e", 1.0)])];
+        let mut fresh = [row(&plan, 0, &[("e", 1.0)])];
+        fresh[0].params.insert("serve".to_string(), json!(0));
+        let report = evaluate(&plan, &old, &fresh);
+        assert_eq!(report.verdict(), Verdict::Pass);
+        assert_eq!((report.matched, report.checks.len()), (1, 1));
+        // A nonzero value is a different experiment: no baseline.
+        fresh[0].params.insert("serve".to_string(), json!(1));
+        let report = evaluate(&plan, &old, &fresh);
+        assert_eq!(report.verdict(), Verdict::NoBaseline);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! `run_meta` provenance header, and a folded `fluxtrace` snapshot.
 //! Rows are only ever appended; the trajectory *is* the file order.
 //!
-//! Baseline matching uses [`Row::key`]: `(plan_hash, seed, params)`.
+//! Baseline matching uses [`Row::key`]: `(plan_hash, seed, params)`,
+//! with every runner parameter a row lacks read as its default — a row
+//! recorded before a factor existed ran at that factor's default.
 //! Commit is provenance, not identity — the whole point is comparing
 //! the same experiment across commits.
 
@@ -16,7 +18,7 @@ use std::path::Path;
 
 use serde_json::{json, Value};
 
-use super::plan::canonical_json;
+use super::plan::{canonical_json, KNOWN_PARAMS};
 
 /// The registry row schema version (bump on breaking row changes).
 pub const ROW_SCHEMA: u64 = 1;
@@ -52,14 +54,17 @@ pub struct Row {
 
 impl Row {
     /// The baseline-matching key: plan hash, seed, and the canonical
-    /// parameter assignment.
+    /// parameter assignment, with each [`KNOWN_PARAMS`] entry the row
+    /// lacks filled with its default (so rows recorded before a factor
+    /// was added still match rows that carry it at its default).
     pub fn key(&self) -> String {
-        let params = Value::Object(
-            self.params
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        );
+        let mut params = self.params.clone();
+        for &(name, default) in KNOWN_PARAMS {
+            params
+                .entry(name.to_string())
+                .or_insert_with(|| param_json(default));
+        }
+        let params = Value::Object(params.into_iter().collect());
         format!(
             "{}|{}|{}",
             self.plan_hash,
@@ -155,6 +160,17 @@ impl Row {
             run_meta: value["run_meta"].clone(),
             telemetry: value["telemetry"].clone(),
         })
+    }
+}
+
+/// A parameter value as JSON, integral values as integers (`2`, not
+/// `2.0`) so row params canonicalise identically run-to-run.
+pub(crate) fn param_json(v: f64) -> Value {
+    // fluxlint: allow(float-eq) — fract() == 0.0 is an exact integrality test, not a value comparison
+    if v.fract() == 0.0 && v.abs() < 2f64.powi(53) {
+        json!(v as i64)
+    } else {
+        json!(v)
     }
 }
 
@@ -255,6 +271,21 @@ mod tests {
         let mut other_params = row.clone();
         other_params.params.insert("threads".to_string(), json!(4));
         assert_ne!(row.key(), other_params.key());
+    }
+
+    /// A row recorded before the `serve` factor existed ran in-process,
+    /// i.e. at `serve: 0`: it must key like a row that says so, and
+    /// unlike one that served.
+    #[test]
+    fn absent_factor_keys_as_its_default() {
+        let old = sample_row();
+        assert!(!old.params.contains_key("serve"));
+        let mut explicit = old.clone();
+        explicit.params.insert("serve".to_string(), json!(0));
+        assert_eq!(old.key(), explicit.key());
+        let mut served = old.clone();
+        served.params.insert("serve".to_string(), json!(1));
+        assert_ne!(old.key(), served.key());
     }
 
     #[test]

@@ -44,7 +44,7 @@ use fluxprint_smc::SmcConfig;
 use fluxprint_telemetry::names;
 
 use super::plan::{Job, Plan};
-use super::registry::Row;
+use super::registry::{param_json, Row};
 use crate::trace;
 
 /// Runs every job of the plan and returns its registry rows, in job
@@ -59,17 +59,6 @@ pub fn run_plan(plan: &Plan, commit: Option<&str>) -> Result<Vec<Row>, String> {
         .iter()
         .map(|job| run_job(plan, job, commit))
         .collect()
-}
-
-/// A parameter value as JSON, integral values as integers (`2`, not
-/// `2.0`) so row params canonicalise identically run-to-run.
-fn param_json(v: f64) -> Value {
-    // fluxlint: allow(float-eq) — fract() == 0.0 is an exact integrality test, not a value comparison
-    if v.fract() == 0.0 && v.abs() < 2f64.powi(53) {
-        json!(v as i64)
-    } else {
-        json!(v)
-    }
 }
 
 fn network_for(job: &Job) -> Result<Network, String> {
@@ -143,8 +132,7 @@ fn duty_stride(job: &Job) -> usize {
 struct DriveResult {
     outcomes: Vec<Vec<StepOutcome>>,
     ingested: Vec<Vec<usize>>,
-    /// Serialized size of the whole grid checkpoint after the run —
-    /// hibernated residents in compact form, hot ones in full form.
+    /// Serialized size of the whole grid checkpoint after the run.
     checkpoint_bytes: usize,
     /// Sessions still hot (fully resident) after the final drain.
     resident_sessions: usize,

@@ -125,14 +125,18 @@ fn repro_plan_appends_keyed_rows_then_gates_deterministically() {
     let plan = Plan::from_json(&std::fs::read_to_string(&plan_path).expect("readable"))
         .expect("fixture parses");
 
-    // First run: appends one row, gate passes (no baseline yet).
+    // First run: appends one row; with no baseline yet the gate has
+    // compared nothing, so it neither passes nor exits 0.
     let out = repro(&["--plan", plan_str, "--registry", reg_str, "--gate"]);
     assert_eq!(
         out.status.code(),
-        Some(0),
+        Some(1),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("NO BASELINE"), "{stdout}");
+    assert!(!stdout.contains("PASS"), "{stdout}");
     let rows = registry::load(&reg).expect("registry loads");
     assert_eq!(rows.len(), 1);
     let row = &rows[0];

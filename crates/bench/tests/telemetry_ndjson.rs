@@ -428,7 +428,9 @@ fn drive_engine_session() {
         session.ingest(&round).expect("round ingests");
         if i == 2 {
             let checkpoint = session.checkpoint();
-            session = engine.restore(&checkpoint).expect("session restores");
+            session = engine
+                .restore_compact(&checkpoint)
+                .expect("session restores");
         }
     }
 }

@@ -140,7 +140,7 @@ fn checkpointed_session_drive_matches_the_uninterrupted_adapter() {
             // its simulation side while the tracker resumes bit-exactly.
             let json = session.checkpoint_json().unwrap();
             drop(session);
-            session = engine.restore_json(&json).unwrap();
+            session = engine.restore_compact_json(&json).unwrap();
             assert_eq!(session.rounds_ingested() as usize, checkpoint_after);
         }
 

@@ -8,6 +8,12 @@
 //! — they rebuild on the first round after restore with no effect on
 //! outputs.
 //!
+//! There is one serialized form, [`CompactCheckpoint`]: samples packed
+//! into pooled, base64-encoded raw `f64` bits (see
+//! [`CompactTrackerState`]). Session JSON, grid snapshots, the grid's
+//! hibernarium and fluxd's wire checkpoints all carry it, and
+//! [`DeltaCheckpoint`] chains diff it.
+//!
 //! The RNG state is four 64-bit words encoded as fixed-width hex strings
 //! rather than JSON numbers: the workspace's serde stand-in routes
 //! integers above `i64::MAX` through `f64`, which would silently corrupt
@@ -16,145 +22,34 @@
 use serde::{Deserialize, Serialize};
 
 use fluxprint_fluxmodel::FluxModel;
-use fluxprint_smc::{CompactTrackerState, SmcConfig, TrackerState, UserTrackState};
+use fluxprint_smc::{CompactTrackerState, CompactUserTrackState, SmcConfig};
 
 use crate::{EngineError, UserState, WarmState};
 
-/// The checkpoint format version this build writes. Restore accepts
-/// every version from [`CHECKPOINT_VERSION_MIN`] up to this one:
-/// version 2 added the optional `warm` field (a v1 checkpoint
-/// deserializes with `warm: None` — i.e. the cold session it always
-/// was); version 3 added the sibling [`CompactCheckpoint`] and
-/// [`DeltaCheckpoint`] shapes without changing the full form, so v2
-/// full checkpoints restore unchanged.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// The checkpoint format version this build reads and writes. Restore
+/// accepts exactly this version and refuses any other with
+/// [`EngineError::UnsupportedVersion`]: version 4 made the compact form
+/// the only encoding, so the full-JSON session shape of versions 1–3
+/// is no longer read.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
-/// The oldest version allowed to carry the compact and delta shapes
-/// (both were introduced together in version 3).
-const COMPACT_VERSION_MIN: u32 = 3;
+/// The history cap that loses nothing: the live tracker itself never
+/// keeps more than two heading-history entries.
+pub(crate) const LOSSLESS_HISTORY_CAP: u32 = 2;
 
-/// The oldest checkpoint format version restore still accepts.
-pub const CHECKPOINT_VERSION_MIN: u32 = 1;
-
-/// A complete serializable session snapshot.
+/// A complete serializable session snapshot: pooled, base64-packed
+/// sample blobs (see [`CompactTrackerState`]) plus the session's RNG
+/// position, lifecycle states and warm-start state.
 ///
 /// Produced by [`Session::checkpoint`](crate::Session::checkpoint),
-/// revived by [`Engine::restore`](crate::Engine::restore). The format is
-/// versioned: [`validate`](Self::validate) rejects checkpoints written by
-/// other versions instead of misreading them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SessionCheckpoint {
-    /// Format version ([`CHECKPOINT_VERSION`]).
-    pub version: u32,
-    /// The tracker snapshot (per-user samples, weights, histories,
-    /// configuration, flux model).
-    pub tracker: TrackerState,
-    /// Session RNG stream position: four 64-bit words as 16-digit hex.
-    pub rng: Vec<String>,
-    /// Lifecycle state per user, parallel to `tracker.users`.
-    pub users: Vec<UserState>,
-    /// Observation rounds ingested so far.
-    pub rounds_ingested: u64,
-    /// Warm-start state — `Some` iff the session runs warm. Added in
-    /// format version 2; absent in v1 checkpoints, which restore as
-    /// cold sessions (`None`).
-    pub warm: Option<WarmState>,
-}
-
-impl SessionCheckpoint {
-    /// Checks the checkpoint's engine-level invariants: a supported
-    /// version, a well-formed RNG encoding, and lifecycle states parallel
-    /// to the tracker's users. Tracker-level invariants are checked by
-    /// [`TrackerState::validate`] at restore.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::UnsupportedVersion`] or
-    /// [`EngineError::BadCheckpoint`] naming the offending field.
-    pub fn validate(&self) -> Result<(), EngineError> {
-        if !(CHECKPOINT_VERSION_MIN..=CHECKPOINT_VERSION).contains(&self.version) {
-            return Err(EngineError::UnsupportedVersion {
-                found: self.version,
-                supported: CHECKPOINT_VERSION,
-            });
-        }
-        // Warm state arrived in format version 2: a checkpoint claiming
-        // v1 but carrying one is internally inconsistent (hand-edited or
-        // mislabeled), not a session any v1 build ever wrote.
-        if self.version < 2 && self.warm.is_some() {
-            return Err(EngineError::BadCheckpoint { field: "warm" });
-        }
-        self.decode_rng()?;
-        if self.users.len() != self.tracker.users.len() {
-            return Err(EngineError::BadCheckpoint { field: "users" });
-        }
-        if let Some(warm) = &self.warm {
-            if warm.hot.len() != self.users.len() {
-                return Err(EngineError::BadCheckpoint { field: "warm" });
-            }
-        }
-        Ok(())
-    }
-
-    /// Decodes the hex-encoded RNG stream position.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::BadCheckpoint`] for a malformed encoding.
-    pub(crate) fn decode_rng(&self) -> Result<[u64; 4], EngineError> {
-        decode_rng_words(&self.rng)
-    }
-
-    /// Encodes an RNG stream position as fixed-width hex words.
-    pub(crate) fn encode_rng(words: [u64; 4]) -> Vec<String> {
-        words.iter().map(|w| format!("{w:016x}")).collect()
-    }
-
-    /// The checkpoint's snapshot id: a 16-hex-digit FNV-1a 64 hash of
-    /// its serialized JSON. Delta chains name their base and predecessor
-    /// states by this id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::CheckpointCodec`] when encoding fails.
-    pub fn snapshot_id(&self) -> Result<String, EngineError> {
-        let json =
-            serde_json::to_string(self).map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
-        Ok(format!("{:016x}", fnv1a64(json.as_bytes())))
-    }
-
-    /// Packs this checkpoint into the [`CompactCheckpoint`] form,
-    /// keeping at most `history_cap` heading-history entries per user.
-    /// A cap of 2 (the live tracker's own bound) loses nothing; smaller
-    /// caps are refused at expansion when the configuration's
-    /// `heading_bias` is nonzero.
-    pub fn compact(&self, history_cap: u32) -> CompactCheckpoint {
-        CompactCheckpoint {
-            version: CHECKPOINT_VERSION,
-            config: self.tracker.config,
-            model: self.tracker.model,
-            tracker: self.tracker.compact(history_cap),
-            rng: self.rng.clone(),
-            users: self.users.clone(),
-            rounds_ingested: self.rounds_ingested,
-            warm: self.warm.clone(),
-        }
-    }
-}
-
-/// A [`SessionCheckpoint`] in compact form: pooled, base64-packed sample
-/// blobs (see [`CompactTrackerState`]) with truncated histories and no
-/// derived state. Introduced in format version 3.
-///
-/// The compact form is lossless for every KPI-bearing float — expansion
-/// is bit-exact — but drops history entries beyond its `history_cap`,
-/// which is semantics-preserving whenever the cap is 2 or the
-/// configuration's `heading_bias` is zero (the only consumer of the
-/// history). [`expand`](Self::expand) enforces exactly that rule.
+/// revived by [`Engine::restore_compact`](crate::Engine::restore_compact).
+/// Every KPI-bearing float survives bit-for-bit. A `history_cap` below
+/// 2 drops heading-history entries, which is semantics-preserving only
+/// when the configuration's `heading_bias` is zero (the history's only
+/// consumer); restore enforces exactly that rule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompactCheckpoint {
-    /// Format version ([`CHECKPOINT_VERSION`]; compact checkpoints
-    /// exist from version 3).
+    /// Format version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
     /// The tracker configuration (kept out of [`CompactTrackerState`]
     /// so fleet stores can share it; carried here so a single compact
@@ -175,21 +70,30 @@ pub struct CompactCheckpoint {
 }
 
 impl CompactCheckpoint {
-    /// Checks the compact checkpoint's engine-level invariants; the
-    /// packed tracker blobs are checked by [`CompactTrackerState::validate`].
+    /// Checks the checkpoint's invariants: the supported version, a
+    /// well-formed RNG encoding, lifecycle and warm states parallel to
+    /// the tracker's users, and decodable sample blobs (see
+    /// [`CompactTrackerState::validate`]).
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::UnsupportedVersion`],
     /// [`EngineError::BadCheckpoint`], or a tracker validation error.
     pub fn validate(&self) -> Result<(), EngineError> {
-        if !(COMPACT_VERSION_MIN..=CHECKPOINT_VERSION).contains(&self.version) {
+        self.validate_fields()?;
+        self.tracker.validate().map_err(EngineError::Smc)
+    }
+
+    /// The engine-level half of [`validate`](Self::validate), leaving
+    /// the sample blobs to whoever decodes them next.
+    pub(crate) fn validate_fields(&self) -> Result<[u64; 4], EngineError> {
+        if self.version != CHECKPOINT_VERSION {
             return Err(EngineError::UnsupportedVersion {
                 found: self.version,
                 supported: CHECKPOINT_VERSION,
             });
         }
-        decode_rng_words(&self.rng)?;
+        let rng = decode_rng_words(&self.rng)?;
         if self.users.len() != self.tracker.users.len() {
             return Err(EngineError::BadCheckpoint { field: "users" });
         }
@@ -198,7 +102,27 @@ impl CompactCheckpoint {
                 return Err(EngineError::BadCheckpoint { field: "warm" });
             }
         }
-        self.tracker.validate().map_err(EngineError::Smc)
+        Ok(rng)
+    }
+
+    /// The checkpoint as JSON text.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::CheckpointCodec`] when encoding fails.
+    pub(crate) fn to_json(&self) -> Result<String, EngineError> {
+        serde_json::to_string(self).map_err(|e| EngineError::CheckpointCodec(e.to_string()))
+    }
+
+    /// The checkpoint's snapshot id: a 16-hex-digit FNV-1a 64 hash of
+    /// its JSON. Delta chains name their base and predecessor states by
+    /// this id.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::CheckpointCodec`] when encoding fails.
+    pub fn snapshot_id(&self) -> Result<String, EngineError> {
+        Ok(format!("{:016x}", fnv1a64(self.to_json()?.as_bytes())))
     }
 
     /// The value's in-memory footprint in bytes, computed without
@@ -231,47 +155,43 @@ impl CompactCheckpoint {
             + std::mem::size_of_val(self.users.as_slice())
             + self.warm.as_ref().map_or(0, |w| w.hot.len())
     }
+}
 
-    /// Expands back into the full [`SessionCheckpoint`] form. The
-    /// expansion is bit-exact; restoring the result continues the
-    /// session bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// As [`validate`](Self::validate), plus the tracker expansion
-    /// rules (a lossy `history_cap` under nonzero `heading_bias` is
-    /// refused).
-    pub fn expand(&self) -> Result<SessionCheckpoint, EngineError> {
-        self.validate()?;
-        let tracker = self
-            .tracker
-            .expand(self.config, self.model)
-            .map_err(EngineError::Smc)?;
-        Ok(SessionCheckpoint {
-            version: self.version,
-            tracker,
-            rng: self.rng.clone(),
-            users: self.users.clone(),
-            rounds_ingested: self.rounds_ingested,
-            warm: self.warm.clone(),
-        })
+/// Parses checkpoint JSON (a session or grid checkpoint). Text that does
+/// not parse as the current shape but names a foreign `version` — a
+/// checkpoint written before the compact form became the only one — is
+/// refused as [`EngineError::UnsupportedVersion`], not as a codec error.
+///
+/// # Errors
+///
+/// [`EngineError::UnsupportedVersion`] or [`EngineError::CheckpointCodec`].
+pub(crate) fn from_json<T: Deserialize>(json: &str) -> Result<T, EngineError> {
+    #[derive(Deserialize)]
+    struct VersionProbe {
+        version: u32,
     }
+    serde_json::from_str(json).map_err(|e| match serde_json::from_str::<VersionProbe>(json) {
+        Ok(probe) if probe.version != CHECKPOINT_VERSION => EngineError::UnsupportedVersion {
+            found: probe.version,
+            supported: CHECKPOINT_VERSION,
+        },
+        _ => EngineError::CheckpointCodec(e.to_string()),
+    })
 }
 
 /// One changed user inside a [`DeltaCheckpoint`]: the user's complete
-/// new track state. `index == users.len()` of the predecessor state
+/// new compact track. `index == users.len()` of the predecessor state
 /// appends (a [`join`](crate::Session::join)).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeltaUser {
     /// The user's index.
     pub index: u32,
     /// The user's full new track state.
-    pub state: UserTrackState,
+    pub state: CompactUserTrackState,
 }
 
 /// A diff between two consecutive session snapshots in a chain rooted
-/// at a named base [`SessionCheckpoint`]. Introduced in format
-/// version 3.
+/// at a named base [`CompactCheckpoint`].
 ///
 /// Mostly-idle sessions change little between rounds — a frozen user's
 /// samples, `Δt` origin, and history are untouched — so a per-round
@@ -283,8 +203,7 @@ pub struct DeltaUser {
 /// applied to the wrong state with distinct errors.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeltaCheckpoint {
-    /// Format version ([`CHECKPOINT_VERSION`]; delta checkpoints exist
-    /// from version 3).
+    /// Format version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
     /// Snapshot id of the chain's base checkpoint.
     pub base: String,
@@ -325,6 +244,7 @@ pub struct DeltaBasis {
     pub(crate) base: String,
     pub(crate) seq: u64,
     pub(crate) prev: String,
+    pub(crate) history_cap: u32,
     pub(crate) user_hashes: Vec<u64>,
     pub(crate) lifecycle: Vec<UserState>,
     pub(crate) warm: Option<WarmState>,
@@ -333,17 +253,19 @@ pub struct DeltaBasis {
 
 impl DeltaBasis {
     /// Starts a delta chain at `base` (typically the checkpoint just
-    /// written to durable storage).
+    /// written to durable storage). Deltas pack users at the base's
+    /// history cap.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::CheckpointCodec`] when hashing fails.
-    pub fn new(base: &SessionCheckpoint) -> Result<Self, EngineError> {
+    pub fn new(base: &CompactCheckpoint) -> Result<Self, EngineError> {
         let id = base.snapshot_id()?;
         Ok(DeltaBasis {
             base: id.clone(),
             seq: 0,
             prev: id,
+            history_cap: base.tracker.history_cap,
             user_hashes: base
                 .tracker
                 .users
@@ -369,7 +291,7 @@ impl DeltaBasis {
 }
 
 /// Replays a delta chain onto its base snapshot, validating the chain
-/// at every link, and returns the materialized full checkpoint.
+/// at every link, and returns the materialized checkpoint.
 ///
 /// # Errors
 ///
@@ -382,9 +304,9 @@ impl DeltaBasis {
 /// - [`EngineError::BadCheckpoint`] for a structurally invalid delta
 ///   and the usual validation errors for a bad base.
 pub fn materialize(
-    base: Option<&SessionCheckpoint>,
+    base: Option<&CompactCheckpoint>,
     deltas: &[DeltaCheckpoint],
-) -> Result<SessionCheckpoint, EngineError> {
+) -> Result<CompactCheckpoint, EngineError> {
     let Some(base) = base else {
         return Err(EngineError::DeltaBaseMissing {
             base: deltas.first().map(|d| d.base.clone()).unwrap_or_default(),
@@ -395,7 +317,7 @@ pub fn materialize(
     let mut current = base.clone();
     let mut current_id = origin.clone();
     for (i, delta) in deltas.iter().enumerate() {
-        if !(COMPACT_VERSION_MIN..=CHECKPOINT_VERSION).contains(&delta.version) {
+        if delta.version != CHECKPOINT_VERSION {
             return Err(EngineError::UnsupportedVersion {
                 found: delta.version,
                 supported: CHECKPOINT_VERSION,
@@ -456,8 +378,12 @@ pub fn materialize(
     Ok(current)
 }
 
-/// Decodes a hex-encoded RNG stream position (shared by the full and
-/// compact checkpoint shapes).
+/// Encodes an RNG stream position as fixed-width hex words.
+pub(crate) fn encode_rng_words(words: [u64; 4]) -> Vec<String> {
+    words.iter().map(|w| format!("{w:016x}")).collect()
+}
+
+/// Decodes a hex-encoded RNG stream position.
 pub(crate) fn decode_rng_words(rng: &[String]) -> Result<[u64; 4], EngineError> {
     if rng.len() != 4 {
         return Err(EngineError::BadCheckpoint { field: "rng" });
@@ -469,9 +395,9 @@ pub(crate) fn decode_rng_words(rng: &[String]) -> Result<[u64; 4], EngineError> 
     Ok(words)
 }
 
-/// Content hash of one user's serialized track state — what
-/// [`DeltaBasis`] keeps instead of the state itself.
-pub(crate) fn user_hash(user: &UserTrackState) -> Result<u64, EngineError> {
+/// Content hash of one user's compact track JSON — what [`DeltaBasis`]
+/// keeps instead of the state itself.
+pub(crate) fn user_hash(user: &CompactUserTrackState) -> Result<u64, EngineError> {
     let json =
         serde_json::to_string(user).map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
     Ok(fnv1a64(json.as_bytes()))
@@ -491,28 +417,30 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fluxprint_fluxmodel::FluxModel;
     use fluxprint_geometry::Point2;
-    use fluxprint_smc::{SmcConfig, UserTrackState, WeightedSample};
+    use fluxprint_smc::{TrackerState, UserTrackState, WeightedSample};
 
-    fn checkpoint() -> SessionCheckpoint {
-        SessionCheckpoint {
-            version: CHECKPOINT_VERSION,
-            tracker: TrackerState {
-                config: SmcConfig::default(),
-                model: FluxModel::default(),
-                users: vec![UserTrackState {
-                    samples: vec![WeightedSample {
-                        position: Point2::new(1.0, 2.0),
-                        weight: 1.0,
-                    }],
-                    t_last: 0.0,
-                    initialized: false,
-                    history: Vec::new(),
+    fn checkpoint() -> CompactCheckpoint {
+        let tracker = TrackerState {
+            config: SmcConfig::default(),
+            model: FluxModel::default(),
+            users: vec![UserTrackState {
+                samples: vec![WeightedSample {
+                    position: Point2::new(1.0, 2.0),
+                    weight: 1.0,
                 }],
-                last_step_time: 0.0,
-            },
-            rng: SessionCheckpoint::encode_rng([1, u64::MAX, 0x0123_4567_89ab_cdef, 42]),
+                t_last: 0.0,
+                initialized: false,
+                history: Vec::new(),
+            }],
+            last_step_time: 0.0,
+        };
+        CompactCheckpoint {
+            version: CHECKPOINT_VERSION,
+            config: tracker.config,
+            model: tracker.model,
+            tracker: tracker.compact(LOSSLESS_HISTORY_CAP),
+            rng: encode_rng_words([1, u64::MAX, 0x0123_4567_89ab_cdef, 42]),
             users: vec![UserState::Active],
             rounds_ingested: 3,
             warm: None,
@@ -522,38 +450,26 @@ mod tests {
     #[test]
     fn rng_hex_round_trips_extreme_words() {
         let words = [u64::MAX, 0, 1, 0x8000_0000_0000_0001];
-        let encoded = SessionCheckpoint::encode_rng(words);
-        let mut cp = checkpoint();
-        cp.rng = encoded;
-        assert_eq!(cp.decode_rng().unwrap(), words);
+        assert_eq!(decode_rng_words(&encode_rng_words(words)).unwrap(), words);
     }
 
     #[test]
     fn validate_accepts_good_and_rejects_bad() {
         checkpoint().validate().unwrap();
 
-        // The previous format version still validates (forward
-        // migration: v1 checkpoints restore as cold sessions).
-        let mut cp = checkpoint();
-        cp.version = CHECKPOINT_VERSION_MIN;
-        cp.validate().unwrap();
-
-        let mut cp = checkpoint();
-        cp.version = CHECKPOINT_VERSION + 1;
-        assert!(matches!(
-            cp.validate(),
-            Err(EngineError::UnsupportedVersion {
-                found,
-                supported: CHECKPOINT_VERSION
-            }) if found == CHECKPOINT_VERSION + 1
-        ));
-
-        let mut cp = checkpoint();
-        cp.version = 0;
-        assert!(matches!(
-            cp.validate(),
-            Err(EngineError::UnsupportedVersion { found: 0, .. })
-        ));
+        // Any version but the current one is refused: older builds wrote
+        // the full-JSON shape this build no longer reads.
+        for version in [0, CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1] {
+            let mut cp = checkpoint();
+            cp.version = version;
+            assert!(matches!(
+                cp.validate(),
+                Err(EngineError::UnsupportedVersion {
+                    found,
+                    supported: CHECKPOINT_VERSION
+                }) if found == version
+            ));
+        }
 
         let mut cp = checkpoint();
         cp.warm = Some(WarmState {
@@ -564,22 +480,6 @@ mod tests {
             cp.validate(),
             Err(EngineError::BadCheckpoint { field: "warm" })
         ));
-
-        // Regression: a checkpoint claiming v1 while carrying the v2+
-        // `warm` field is inconsistent and must be rejected, not
-        // restored with state no v1 build ever wrote.
-        let mut cp = checkpoint();
-        cp.version = CHECKPOINT_VERSION_MIN;
-        cp.warm = Some(WarmState::cold(1));
-        assert!(matches!(
-            cp.validate(),
-            Err(EngineError::BadCheckpoint { field: "warm" })
-        ));
-        // The same warm state under v2 is fine.
-        let mut cp = checkpoint();
-        cp.version = 2;
-        cp.warm = Some(WarmState::cold(1));
-        cp.validate().unwrap();
 
         let mut cp = checkpoint();
         cp.rng.pop();
@@ -601,62 +501,29 @@ mod tests {
             cp.validate(),
             Err(EngineError::BadCheckpoint { field: "users" })
         ));
+
+        let mut cp = checkpoint();
+        cp.tracker.users[0].n += 1;
+        assert!(matches!(
+            cp.validate(),
+            Err(EngineError::Smc(fluxprint_smc::SmcError::BadConfig {
+                field: "compact.samples"
+            }))
+        ));
     }
 
     #[test]
     fn checkpoint_json_round_trips() {
         let cp = checkpoint();
-        let json = serde_json::to_string(&cp).unwrap();
-        let back: SessionCheckpoint = serde_json::from_str(&json).unwrap();
+        let back: CompactCheckpoint = from_json(&cp.to_json().unwrap()).unwrap();
         assert_eq!(back, cp);
         assert_eq!(
-            back.decode_rng().unwrap(),
+            decode_rng_words(&back.rng).unwrap(),
             [1, u64::MAX, 0x0123_4567_89ab_cdef, 42]
         );
     }
 
-    #[test]
-    fn compact_checkpoint_round_trips_and_validates() {
-        let full = checkpoint();
-        let compact = full.compact(2);
-        compact.validate().unwrap();
-        let expanded = compact.expand().unwrap();
-        assert_eq!(expanded.tracker, full.tracker);
-        assert_eq!(expanded.rng, full.rng);
-        assert_eq!(expanded.users, full.users);
-        assert_eq!(expanded.rounds_ingested, full.rounds_ingested);
-        assert_eq!(expanded.warm, full.warm);
-
-        // JSON round trip of the compact form is exact too.
-        let json = serde_json::to_string(&compact).unwrap();
-        let back: CompactCheckpoint = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, compact);
-
-        // A compact checkpoint claiming a pre-compact version is
-        // rejected: no v2 build ever wrote this shape.
-        let mut bad = compact.clone();
-        bad.version = 2;
-        assert!(matches!(
-            bad.validate(),
-            Err(EngineError::UnsupportedVersion { found: 2, .. })
-        ));
-
-        let mut bad = compact.clone();
-        bad.users.push(UserState::Suspended);
-        assert!(matches!(
-            bad.validate(),
-            Err(EngineError::BadCheckpoint { field: "users" })
-        ));
-
-        let mut bad = compact;
-        bad.warm = Some(WarmState::cold(2));
-        assert!(matches!(
-            bad.validate(),
-            Err(EngineError::BadCheckpoint { field: "warm" })
-        ));
-    }
-
-    fn delta(seq: u64, base: &str, prev: &str, cp: &SessionCheckpoint) -> DeltaCheckpoint {
+    fn delta(seq: u64, base: &str, prev: &str, cp: &CompactCheckpoint) -> DeltaCheckpoint {
         DeltaCheckpoint {
             version: CHECKPOINT_VERSION,
             base: base.into(),

@@ -11,7 +11,8 @@ use fluxprint_netsim::Network;
 use fluxprint_smc::{SmcConfig, Tracker};
 use fluxprint_telemetry::{self as telemetry, names};
 
-use crate::{CompactCheckpoint, EngineError, Session, SessionCheckpoint, UserState, WarmState};
+use crate::checkpoint::from_json;
+use crate::{CompactCheckpoint, EngineError, Session, UserState, WarmState};
 
 /// Parameters for one tracking session.
 #[derive(Debug, Clone)]
@@ -178,14 +179,16 @@ impl Engine {
         })
     }
 
-    /// Revives a session from a [`SessionCheckpoint`] against this
+    /// Revives a session from a [`CompactCheckpoint`] (produced by
+    /// [`Session::checkpoint`](crate::Session::checkpoint)) against this
     /// engine's boundary and node map.
     ///
-    /// Restore is exact: the revived session produces bit-identical
-    /// outcomes to the one the checkpoint was taken from, given the same
-    /// subsequent rounds — the tracker state, user lifecycle states, and
-    /// RNG stream position all resume where they stopped. The flux model
-    /// travels inside the checkpoint (it is tracker state), so a session
+    /// Restore is exact: the sample blobs expand bit-for-bit, so the
+    /// revived session produces bit-identical outcomes to the one the
+    /// checkpoint was taken from, given the same subsequent rounds — the
+    /// tracker state, user lifecycle states, and RNG stream position all
+    /// resume where they stopped. The configuration and flux model travel
+    /// inside the checkpoint (they are tracker state), so a session
     /// restores faithfully even on an engine built with a different
     /// model.
     ///
@@ -193,18 +196,21 @@ impl Engine {
     ///
     /// Returns [`EngineError::UnsupportedVersion`] or
     /// [`EngineError::BadCheckpoint`] for a malformed checkpoint and
-    /// propagates tracker snapshot validation errors.
-    pub fn restore(&self, checkpoint: &SessionCheckpoint) -> Result<Session, EngineError> {
-        checkpoint.validate()?;
-        let model = checkpoint.tracker.model;
-        let tracker = Tracker::from_state(checkpoint.tracker.clone(), Arc::clone(&self.boundary))?;
+    /// propagates tracker snapshot validation errors (including a lossy
+    /// `history_cap` under nonzero `heading_bias`).
+    pub fn restore_compact(&self, checkpoint: &CompactCheckpoint) -> Result<Session, EngineError> {
+        let rng = checkpoint.validate_fields()?;
+        let state = checkpoint
+            .tracker
+            .expand(checkpoint.config, checkpoint.model)?;
+        let tracker = Tracker::from_state(state, Arc::clone(&self.boundary))?;
         telemetry::counter(names::ENGINE_RESTORES, 1);
         Ok(Session {
             boundary: Arc::clone(&self.boundary),
-            model,
+            model: checkpoint.model,
             node_positions: Arc::clone(&self.node_positions),
             tracker,
-            rng: StdRng::from_state(checkpoint.decode_rng()?),
+            rng: StdRng::from_state(rng),
             users: checkpoint.users.clone(),
             rounds_ingested: checkpoint.rounds_ingested,
             template: None,
@@ -212,41 +218,18 @@ impl Engine {
         })
     }
 
-    /// [`restore`](Engine::restore) from a JSON string produced by
-    /// [`Session::checkpoint_json`](crate::Session::checkpoint_json).
+    /// [`restore_compact`](Engine::restore_compact) from a JSON string
+    /// produced by [`Session::checkpoint_json`](crate::Session::checkpoint_json).
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::CheckpointCodec`] for unparseable JSON;
-    /// otherwise as [`restore`](Engine::restore).
-    pub fn restore_json(&self, json: &str) -> Result<Session, EngineError> {
-        let checkpoint: SessionCheckpoint =
-            serde_json::from_str(json).map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
-        self.restore(&checkpoint)
-    }
-
-    /// [`restore`](Engine::restore) from a [`CompactCheckpoint`]
-    /// (produced by [`Session::checkpoint_compact`](crate::Session::checkpoint_compact)).
-    /// The expansion is bit-exact, so the revived session continues
-    /// bit-identically, same as a full restore.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompactCheckpoint::expand`] and [`restore`](Engine::restore).
-    pub fn restore_compact(&self, checkpoint: &CompactCheckpoint) -> Result<Session, EngineError> {
-        self.restore(&checkpoint.expand()?)
-    }
-
-    /// [`restore_compact`](Engine::restore_compact) from a JSON string.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::CheckpointCodec`] for unparseable JSON;
-    /// otherwise as [`restore_compact`](Engine::restore_compact).
+    /// Returns [`EngineError::UnsupportedVersion`] for a checkpoint
+    /// written under another format version (including the full-JSON
+    /// shape older builds wrote), [`EngineError::CheckpointCodec`] for
+    /// other unparseable JSON; otherwise as
+    /// [`restore_compact`](Engine::restore_compact).
     pub fn restore_compact_json(&self, json: &str) -> Result<Session, EngineError> {
-        let checkpoint: CompactCheckpoint =
-            serde_json::from_str(json).map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
-        self.restore_compact(&checkpoint)
+        self.restore_compact(&from_json(json)?)
     }
 
     /// The field boundary sessions track over.
@@ -365,7 +348,7 @@ mod tests {
         let mut cp = good.clone();
         cp.version = 99;
         assert!(matches!(
-            engine.restore(&cp),
+            engine.restore_compact(&cp),
             Err(EngineError::UnsupportedVersion { found: 99, .. })
         ));
 
@@ -373,16 +356,16 @@ mod tests {
         cp.tracker.users.clear();
         cp.users.clear();
         assert!(matches!(
-            engine.restore(&cp),
+            engine.restore_compact(&cp),
             Err(EngineError::Smc(fluxprint_smc::SmcError::ZeroUsers))
         ));
 
         assert!(matches!(
-            engine.restore_json("not json"),
+            engine.restore_compact_json("not json"),
             Err(EngineError::CheckpointCodec(_))
         ));
 
-        let restored = engine.restore(&good).unwrap();
+        let restored = engine.restore_compact(&good).unwrap();
         assert_eq!(restored.checkpoint().tracker, good.tracker);
     }
 }

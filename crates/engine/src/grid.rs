@@ -29,41 +29,36 @@
 //!
 //! [`Grid::checkpoint`] snapshots every resident session *plus its
 //! pending (queued, not yet ingested) rounds*; restoring and draining
-//! yields the same outcomes as never having stopped.
+//! yields the same outcomes as never having stopped. Every entry is a
+//! [`CompactCheckpoint`], the one serialized session form.
 //!
 //! # Hibernation
 //!
 //! With [`GridConfig::hibernate_after`] set, a resident that sits
 //! through that many consecutive drains without ingesting a round is
-//! evicted to its compact form — the boxed [`CompactCheckpoint`] value
-//! itself, never its JSON text, so no grid path encodes or parses — in
-//! the shard's in-memory hibernarium; the live [`Session`] — samples,
-//! template, scratch references — is dropped. The next
+//! evicted to its checkpoint — the boxed [`CompactCheckpoint`] value
+//! itself, never its JSON text, so eviction and revival never encode or
+//! parse — in the shard's in-memory hibernarium; the live [`Session`] —
+//! samples, template, scratch references — is dropped. The next
 //! [`submit`](Grid::submit) (or a drain of restored pending rounds)
 //! revives it transparently. Eviction and revival are bit-transparent:
 //! the compact form expands exactly, so a fleet run with any eviction
-//! threshold is bit-identical to the always-resident run.
-//! [`Grid::checkpoint`] round-trips hibernated residents *without
-//! reviving them*, so checkpointing a 100k-session fleet touches only
-//! the hot few.
+//! threshold is bit-identical to the always-resident run. Reads never
+//! revive: [`Grid::checkpoint`], [`Grid::session_checkpoint_json`] and
+//! [`Grid::estimate`] answer from the stored value, so checkpointing a
+//! 100k-session fleet touches only the hot few.
 
 use serde::{Deserialize, Serialize};
 
 use fluxprint_fluxpar::Pool;
+use fluxprint_geometry::Point2;
 use fluxprint_netsim::ObservationRound;
-use fluxprint_smc::StepOutcome;
+use fluxprint_smc::{weighted_mean, StepOutcome};
 use fluxprint_solver::CacheScratch;
 use fluxprint_telemetry::{self as telemetry, names};
 
-use crate::{
-    CompactCheckpoint, Engine, EngineError, Session, SessionCheckpoint, SessionConfig,
-    CHECKPOINT_VERSION, CHECKPOINT_VERSION_MIN,
-};
-
-/// History cap used for hibernation snapshots: the live tracker itself
-/// never keeps more than two heading-history entries, so this cap is
-/// lossless and eviction/revival stays bit-transparent.
-const HIBERNATE_HISTORY_CAP: u32 = 2;
+use crate::checkpoint::from_json;
+use crate::{CompactCheckpoint, Engine, EngineError, Session, SessionConfig, CHECKPOINT_VERSION};
 
 /// Configuration for [`Grid::open`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,8 +73,8 @@ pub struct GridConfig {
     /// `0` means the process-wide pool's width.
     pub threads: usize,
     /// Hibernation threshold: a resident idle for this many consecutive
-    /// drains (no rounds ingested) is evicted to its compact checkpoint
-    /// form; `0` (the default) keeps every session resident forever.
+    /// drains (no rounds ingested) is evicted to its checkpoint; `0`
+    /// (the default) keeps every session resident forever.
     /// Results never depend on this — eviction/revival is
     /// bit-transparent — only peak memory does.
     pub hibernate_after: u64,
@@ -169,11 +164,11 @@ impl Resident {
         Ok(())
     }
 
-    /// Evicts a hot resident to its compact form; a no-op on an
+    /// Evicts a hot resident to its (lossless) checkpoint; a no-op on an
     /// already-cold one.
     fn hibernate(&mut self) {
         if let Residency::Hot(session) = &self.residency {
-            let compact = session.checkpoint_compact(HIBERNATE_HISTORY_CAP);
+            let compact = session.checkpoint();
             telemetry::counter(names::GRID_HIBERNATE_EVICTIONS, 1);
             telemetry::counter(names::GRID_SESSIONS_HIBERNATED, 1);
             telemetry::record(names::HIST_GRID_HIBERNATE_BYTES, compact.footprint() as f64);
@@ -489,8 +484,9 @@ impl Grid {
     ///
     /// Returns [`EngineError::UnknownSession`] for an unknown id and
     /// [`EngineError::SessionHibernated`] for a cold resident (a shared
-    /// reference cannot revive; use [`session_mut`](Grid::session_mut)
-    /// or submit a round).
+    /// reference cannot revive; use [`estimate`](Grid::estimate) or
+    /// [`session_checkpoint_json`](Grid::session_checkpoint_json), which
+    /// read cold residents in place, or [`session_mut`](Grid::session_mut)).
     pub fn session(&self, id: SessionId) -> Result<&Session, EngineError> {
         let (shard, slot) = self.locate(id)?;
         match &self.shards[shard].residents[slot].residency {
@@ -520,6 +516,48 @@ impl Grid {
         }
     }
 
+    /// User `user`'s current point estimate in a session, hot or cold,
+    /// without reviving it: a cold resident answers with
+    /// [`weighted_mean`] over that user's decoded samples, which is
+    /// bit-identical to [`Session::estimate`] on the revived session.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::UnknownSession`] for an unknown id,
+    /// [`EngineError::UserOutOfRange`] for a bad user index, and a
+    /// decode error for a corrupt cold entry.
+    pub fn estimate(&self, id: SessionId, user: usize) -> Result<Point2, EngineError> {
+        let (shard, slot) = self.locate(id)?;
+        match &self.shards[shard].residents[slot].residency {
+            Residency::Hot(session) => session.estimate(user),
+            Residency::Cold(compact) => {
+                let users = compact.tracker.users.len();
+                let track = compact
+                    .tracker
+                    .users
+                    .get(user)
+                    .ok_or(EngineError::UserOutOfRange { index: user, users })?;
+                Ok(weighted_mean(&track.expand()?.samples))
+            }
+        }
+    }
+
+    /// A session's checkpoint JSON, hot or cold, without reviving it: a
+    /// cold resident serializes its stored checkpoint, byte-identical to
+    /// [`Session::checkpoint_json`] on the revived session.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::UnknownSession`] for an unknown id and
+    /// [`EngineError::CheckpointCodec`] when encoding fails.
+    pub fn session_checkpoint_json(&self, id: SessionId) -> Result<String, EngineError> {
+        let (shard, slot) = self.locate(id)?;
+        match &self.shards[shard].residents[slot].residency {
+            Residency::Hot(session) => session.checkpoint_json(),
+            Residency::Cold(compact) => compact.to_json(),
+        }
+    }
+
     /// Rounds currently queued (submitted, not yet drained) for a session.
     ///
     /// # Errors
@@ -544,12 +582,11 @@ impl Grid {
     }
 
     /// Snapshots every resident session — including rounds still queued —
-    /// into one versioned checkpoint. Hot residents are captured in the
-    /// full checkpoint form; hibernated residents are captured in their
-    /// compact form *without being revived* (the stored compact value is
-    /// cloned, never expanded into a live session). Outcome logs are
-    /// derived data and are not captured; take them first if you need
-    /// them.
+    /// into one versioned checkpoint. Hot residents are checkpointed;
+    /// hibernated residents contribute their stored checkpoint *without
+    /// being revived* (the value is cloned, never expanded into a live
+    /// session). Outcome logs are derived data and are not captured;
+    /// take them first if you need them.
     ///
     /// # Errors
     ///
@@ -562,8 +599,8 @@ impl Grid {
             .map(|&(shard, slot)| {
                 let resident = &self.shards[shard].residents[slot];
                 let (session, hibernated) = match &resident.residency {
-                    Residency::Hot(session) => (Some(session.checkpoint()), None),
-                    Residency::Cold(compact) => (None, Some(CompactCheckpoint::clone(compact))),
+                    Residency::Hot(session) => (session.checkpoint(), false),
+                    Residency::Cold(compact) => (CompactCheckpoint::clone(compact), true),
                 };
                 GridSessionCheckpoint {
                     session,
@@ -592,28 +629,28 @@ impl Grid {
 
     /// Revives a grid from a checkpoint: every session is restored under
     /// its original id with its pending rounds re-queued, so
-    /// restore-then-drain is bit-identical to never having stopped. Hot
-    /// entries are restored live (see [`Engine::restore`]); hibernated
-    /// entries are validated and adopted *cold* — straight back into the
-    /// hibernarium without ever building a live session, so a restored
-    /// fleet's memory stays bounded from the first instant. The config
-    /// must keep the checkpoint's shard count (the session→shard map is
-    /// `id % shards`); the thread budget, queue capacity, and
-    /// hibernation threshold are free to change — none affects results.
+    /// restore-then-drain is bit-identical to never having stopped.
+    /// Entries that were hot are restored live (see
+    /// [`Engine::restore_compact`]); hibernated entries are validated and
+    /// adopted *cold* — straight back into the hibernarium without ever
+    /// building a live session, so a restored fleet's memory stays
+    /// bounded from the first instant. The config must keep the
+    /// checkpoint's shard count (the session→shard map is `id % shards`);
+    /// the thread budget, queue capacity, and hibernation threshold are
+    /// free to change — none affects results.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::UnsupportedVersion`] for a foreign format
-    /// version, [`EngineError::BadCheckpoint`] when `config.shards`
-    /// disagrees with the checkpoint or an entry is not exactly one of
-    /// hot/hibernated (or claims hibernation under a pre-v3 version),
-    /// and propagates per-session restore errors.
+    /// Returns [`EngineError::UnsupportedVersion`] for any format version
+    /// but [`CHECKPOINT_VERSION`], [`EngineError::BadCheckpoint`] when
+    /// `config.shards` disagrees with the checkpoint, and propagates
+    /// per-session restore and validation errors.
     pub fn restore(
         engine: Engine,
         config: &GridConfig,
         checkpoint: &GridCheckpoint,
     ) -> Result<GridHandle, EngineError> {
-        if !(CHECKPOINT_VERSION_MIN..=CHECKPOINT_VERSION).contains(&checkpoint.version) {
+        if checkpoint.version != CHECKPOINT_VERSION {
             return Err(EngineError::UnsupportedVersion {
                 found: checkpoint.version,
                 supported: CHECKPOINT_VERSION,
@@ -624,21 +661,11 @@ impl Grid {
         }
         let mut grid = Grid::open(engine, config)?;
         for entry in &checkpoint.sessions {
-            let residency = match (&entry.session, &entry.hibernated) {
-                (Some(session), None) => Residency::Hot(Box::new(grid.engine.restore(session)?)),
-                (None, Some(compact)) => {
-                    // Hibernation shapes exist from format version 3.
-                    if checkpoint.version < 3 {
-                        return Err(EngineError::BadCheckpoint {
-                            field: "hibernated",
-                        });
-                    }
-                    compact.validate()?;
-                    Residency::Cold(Box::new(compact.clone()))
-                }
-                _ => {
-                    return Err(EngineError::BadCheckpoint { field: "sessions" });
-                }
+            let residency = if entry.hibernated {
+                entry.session.validate()?;
+                Residency::Cold(Box::new(entry.session.clone()))
+            } else {
+                Residency::Hot(Box::new(grid.engine.restore_compact(&entry.session)?))
             };
             grid.adopt(residency, entry.pending.clone());
         }
@@ -649,16 +676,16 @@ impl Grid {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::CheckpointCodec`] for undecodable JSON,
-    /// else as [`restore`](Grid::restore).
+    /// Returns [`EngineError::UnsupportedVersion`] for a checkpoint
+    /// written under another format version,
+    /// [`EngineError::CheckpointCodec`] for other undecodable JSON, else
+    /// as [`restore`](Grid::restore).
     pub fn restore_json(
         engine: Engine,
         config: &GridConfig,
         json: &str,
     ) -> Result<GridHandle, EngineError> {
-        let checkpoint: GridCheckpoint =
-            serde_json::from_str(json).map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
-        Grid::restore(engine, config, &checkpoint)
+        Grid::restore(engine, config, &from_json(json)?)
     }
 
     fn locate(&self, id: SessionId) -> Result<(usize, usize), EngineError> {
@@ -739,19 +766,14 @@ fn drain_shard(
     (ingested, None)
 }
 
-/// One session's slice of a [`GridCheckpoint`]: exactly one of
-/// [`session`](Self::session) (a hot resident, full form) or
-/// [`hibernated`](Self::hibernated) (a cold resident, compact form) is
-/// present. Pre-v3 grid checkpoints always carried the full form, and
-/// deserialize here with `session: Some(..)` and `hibernated: None`.
+/// One session's slice of a [`GridCheckpoint`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridSessionCheckpoint {
-    /// The full session snapshot, for a resident that was hot at
-    /// checkpoint time.
-    pub session: Option<SessionCheckpoint>,
-    /// The compact session snapshot, for a resident that was hibernated
-    /// at checkpoint time (captured without reviving it).
-    pub hibernated: Option<CompactCheckpoint>,
+    /// The session's checkpoint.
+    pub session: CompactCheckpoint,
+    /// Whether the resident was hibernated at checkpoint time (its entry
+    /// was captured without reviving it, and restore adopts it cold).
+    pub hibernated: bool,
     /// Rounds that were queued but not yet ingested at checkpoint time.
     pub pending: Vec<ObservationRound>,
 }

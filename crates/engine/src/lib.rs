@@ -16,10 +16,10 @@
 //!    [`resume`](Session::resume)d, or [`depart`](Session::depart).
 //! 3. **Persistence layer** — [`Session::checkpoint`] snapshots the full
 //!    session (tracker samples, weights, histories, RNG stream position,
-//!    lifecycle states) into a versioned serde format;
-//!    [`Engine::restore`] revives it with a bit-identity guarantee:
-//!    restore-then-ingest produces exactly the outcomes an uninterrupted
-//!    run would have.
+//!    lifecycle states) into the one versioned serialized form,
+//!    [`CompactCheckpoint`]; [`Engine::restore_compact`] revives it with
+//!    a bit-identity guarantee: restore-then-ingest produces exactly the
+//!    outcomes an uninterrupted run would have.
 //! 4. **Grid layer** ([`grid`]) — a sharded multi-session scheduler:
 //!    sessions are assigned to shards with dedicated `fluxpar` pool
 //!    slices, rounds queue into bounded per-session buffers with
@@ -78,7 +78,7 @@
 //!
 //! // Snapshot the session; a restored session continues bit-identically.
 //! let json = session.checkpoint_json()?;
-//! let revived = engine.restore_json(&json)?;
+//! let revived = engine.restore_compact_json(&json)?;
 //! assert_eq!(revived.time(), session.time());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -93,8 +93,7 @@ pub mod kpi;
 mod session;
 
 pub use checkpoint::{
-    materialize, CompactCheckpoint, DeltaBasis, DeltaCheckpoint, DeltaUser, SessionCheckpoint,
-    CHECKPOINT_VERSION, CHECKPOINT_VERSION_MIN,
+    materialize, CompactCheckpoint, DeltaBasis, DeltaCheckpoint, DeltaUser, CHECKPOINT_VERSION,
 };
 pub use engine::{Engine, SessionConfig};
 pub use error::EngineError;

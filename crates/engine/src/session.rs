@@ -14,10 +14,9 @@ use fluxprint_smc::{SmcError, StepOutcome, Tracker, WarmDirective};
 use fluxprint_solver::{CacheScratch, FluxObjective};
 use fluxprint_telemetry::{self as telemetry, names};
 
-use crate::checkpoint::user_hash;
+use crate::checkpoint::{encode_rng_words, user_hash, LOSSLESS_HISTORY_CAP};
 use crate::{
-    CompactCheckpoint, DeltaBasis, DeltaCheckpoint, DeltaUser, EngineError, SessionCheckpoint,
-    CHECKPOINT_VERSION,
+    CompactCheckpoint, DeltaBasis, DeltaCheckpoint, DeltaUser, EngineError, CHECKPOINT_VERSION,
 };
 
 /// Candidate-budget divisor for hot users on warm rounds: a hot user
@@ -438,19 +437,12 @@ impl Session {
     }
 
     /// Snapshots the complete session state into the versioned checkpoint
-    /// format. Restoring the checkpoint (with the same [`Engine`](crate::Engine)
-    /// geometry) and continuing produces bit-identical outcomes to never
-    /// having stopped — see [`Engine::restore`](crate::Engine::restore).
-    pub fn checkpoint(&self) -> SessionCheckpoint {
-        telemetry::counter(names::ENGINE_CHECKPOINTS, 1);
-        SessionCheckpoint {
-            version: CHECKPOINT_VERSION,
-            tracker: self.tracker.state(),
-            rng: SessionCheckpoint::encode_rng(self.rng.state()),
-            users: self.users.clone(),
-            rounds_ingested: self.rounds_ingested,
-            warm: self.warm.clone(),
-        }
+    /// format, losslessly. Restoring the checkpoint (with the same
+    /// [`Engine`](crate::Engine) geometry) and continuing produces
+    /// bit-identical outcomes to never having stopped — see
+    /// [`Engine::restore_compact`](crate::Engine::restore_compact).
+    pub fn checkpoint(&self) -> CompactCheckpoint {
+        self.checkpoint_compact(LOSSLESS_HISTORY_CAP)
     }
 
     /// [`checkpoint`](Session::checkpoint) serialized to a JSON string.
@@ -459,18 +451,26 @@ impl Session {
     ///
     /// Returns [`EngineError::CheckpointCodec`] when encoding fails.
     pub fn checkpoint_json(&self) -> Result<String, EngineError> {
-        serde_json::to_string(&self.checkpoint())
-            .map_err(|e| EngineError::CheckpointCodec(e.to_string()))
+        self.checkpoint().to_json()
     }
 
-    /// Snapshots the session into the compact checkpoint form (pooled,
-    /// base64-packed samples; history truncated to `history_cap`).
-    /// Expansion is bit-exact, so with a cap of 2 —
-    /// the live tracker's own history bound — restore-then-ingest stays
-    /// bit-identical to never having stopped. See
-    /// [`CompactCheckpoint`] for when smaller caps are safe.
+    /// Snapshots the session keeping at most `history_cap` heading-history
+    /// entries per user. A cap of 2 — the live tracker's own history
+    /// bound, and what [`checkpoint`](Session::checkpoint) uses — loses
+    /// nothing; see [`CompactCheckpoint`] for when smaller caps are safe.
     pub fn checkpoint_compact(&self, history_cap: u32) -> CompactCheckpoint {
-        self.checkpoint().compact(history_cap)
+        telemetry::counter(names::ENGINE_CHECKPOINTS, 1);
+        let state = self.tracker.state();
+        CompactCheckpoint {
+            version: CHECKPOINT_VERSION,
+            config: state.config,
+            model: state.model,
+            tracker: state.compact(history_cap),
+            rng: encode_rng_words(self.rng.state()),
+            users: self.users.clone(),
+            rounds_ingested: self.rounds_ingested,
+            warm: self.warm.clone(),
+        }
     }
 
     /// Produces the next delta in the chain tracked by `basis`: a diff
@@ -485,7 +485,7 @@ impl Session {
     /// disagrees with the chain's (a delta chain never crosses an
     /// open — warm is fixed at session open).
     pub fn delta_checkpoint(&self, basis: &mut DeltaBasis) -> Result<DeltaCheckpoint, EngineError> {
-        let full = self.checkpoint();
+        let full = self.checkpoint_compact(basis.history_cap);
         let mut changed = Vec::new();
         let mut hashes = Vec::with_capacity(full.tracker.users.len());
         for (index, user) in full.tracker.users.iter().enumerate() {

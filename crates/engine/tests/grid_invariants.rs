@@ -127,7 +127,7 @@ fn queued_total_tracks_every_queue_path() {
     assert!(grid.is_hibernated(ids[3]).unwrap());
     grid.submit(ids[1], trace[5].clone()).unwrap();
     let mut checkpoint = grid.checkpoint().unwrap();
-    assert!(checkpoint.sessions[3].hibernated.is_some());
+    assert!(checkpoint.sessions[3].hibernated);
     checkpoint.sessions[3].pending.push(trace[5].clone());
     let mut restored = Grid::restore(engine, &grid_config, &checkpoint).unwrap();
     assert_eq!(restored.queued_total(), 2);
@@ -176,7 +176,8 @@ fn grid_checkpoints_of_a_hibernating_fleet_are_byte_stable() {
         let cold: Vec<&CompactCheckpoint> = checkpoint
             .sessions
             .iter()
-            .filter_map(|s| s.hibernated.as_ref())
+            .filter(|s| s.hibernated)
+            .map(|s| &s.session)
             .collect();
         assert_eq!(cold.len(), 3, "warm={warm}: sessions 0..3 are cold");
         assert_eq!(grid.hot_sessions(), 3);

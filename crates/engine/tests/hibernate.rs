@@ -10,6 +10,7 @@ use rand::SeedableRng;
 
 use fluxprint_engine::{
     Engine, EngineError, Grid, GridConfig, SessionConfig, SessionId, StepOutcome, Submit,
+    CHECKPOINT_VERSION,
 };
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::Point2;
@@ -218,11 +219,8 @@ fn checkpoint_round_trips_cold_residents_without_revival() {
     assert!(!grid.is_hibernated(busy).unwrap());
 
     let checkpoint = grid.checkpoint().unwrap();
-    assert!(checkpoint.sessions[busy.index()].session.is_some());
-    assert!(checkpoint.sessions[busy.index()].hibernated.is_none());
-    let cold_entry = &checkpoint.sessions[idle.index()];
-    assert!(cold_entry.session.is_none());
-    assert!(cold_entry.hibernated.is_some());
+    assert!(!checkpoint.sessions[busy.index()].hibernated);
+    assert!(checkpoint.sessions[idle.index()].hibernated);
     let json = grid.checkpoint_json().unwrap();
 
     // The restored grid adopts the cold resident cold: no revival, the
@@ -263,29 +261,96 @@ fn checkpoint_round_trips_cold_residents_without_revival() {
     }
 }
 
-/// A hibernated entry in a grid checkpoint is only legal from format
-/// version 3 on; a hand-rewritten older version is rejected rather than
-/// misread.
+/// Reads of a hibernated session — its checkpoint JSON and every user's
+/// estimate — answer from the stored checkpoint without reviving it,
+/// bit-identical to the same reads on an always-resident grid; a bad
+/// user index gets the hot path's error.
 #[test]
-fn pre_v3_grid_checkpoint_cannot_carry_hibernated_entries() {
+fn cold_reads_match_hot_reads_without_revival() {
+    let net = network(89);
+    let trace = rounds(&net, 4, 90);
+    let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
+    let mut cold_grid = Grid::open(engine.clone(), &grid_config(1)).unwrap();
+    let mut hot_grid = Grid::open(engine, &grid_config(0)).unwrap();
+    for grid in [&mut cold_grid, &mut hot_grid] {
+        let reader = grid.open_session(&config(2), 500).unwrap();
+        let writer = grid.open_session(&config(1), 501).unwrap();
+        for round in &trace[..2] {
+            grid.submit(reader, round.clone()).unwrap();
+            grid.drain().unwrap();
+        }
+        for round in &trace[2..] {
+            grid.submit(writer, round.clone()).unwrap();
+            grid.drain().unwrap();
+        }
+    }
+    let reader = SessionId(0);
+    assert!(cold_grid.is_hibernated(reader).unwrap());
+    assert!(!hot_grid.is_hibernated(reader).unwrap());
+    for _ in 0..2 {
+        assert_eq!(
+            cold_grid.session_checkpoint_json(reader).unwrap(),
+            hot_grid.session_checkpoint_json(reader).unwrap()
+        );
+        for user in 0..2 {
+            let got = cold_grid.estimate(reader, user).unwrap();
+            let want = hot_grid.session(reader).unwrap().estimate(user).unwrap();
+            assert_eq!(got.x.to_bits(), want.x.to_bits());
+            assert_eq!(got.y.to_bits(), want.y.to_bits());
+        }
+        assert!(cold_grid.is_hibernated(reader).unwrap());
+    }
+    assert_eq!(
+        cold_grid.estimate(reader, 2),
+        hot_grid.estimate(reader, 2),
+        "out-of-range user"
+    );
+    assert!(matches!(
+        cold_grid.estimate(reader, 2),
+        Err(EngineError::UserOutOfRange { index: 2, users: 2 })
+    ));
+}
+
+/// Grid checkpoints written before the compact form became the only
+/// session encoding (format version 3 and older) are refused with a
+/// typed version error, both as values and as JSON in the older entry
+/// shape (a full `session` or a compact `hibernated` object per entry).
+#[test]
+fn pre_bump_grid_checkpoints_are_refused() {
     let net = network(87);
-    let trace = rounds(&net, 2, 88);
+    let trace = rounds(&net, 3, 88);
     let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
 
     let mut grid = Grid::open(engine.clone(), &grid_config(1)).unwrap();
-    let id = grid.open_session(&config(1), 400).unwrap();
-    grid.submit(id, trace[0].clone()).unwrap();
+    let hot = grid.open_session(&config(1), 400).unwrap();
+    let cold = grid.open_session(&config(1), 401).unwrap();
+    grid.submit(cold, trace[0].clone()).unwrap();
     grid.drain().unwrap();
-    grid.drain().unwrap();
-    grid.drain().unwrap();
-    assert!(grid.is_hibernated(id).unwrap());
+    for round in &trace[1..] {
+        grid.submit(hot, round.clone()).unwrap();
+        grid.drain().unwrap();
+    }
+    assert!(grid.is_hibernated(cold).unwrap());
 
     let mut checkpoint = grid.checkpoint().unwrap();
-    checkpoint.version = 2;
+    checkpoint.version = 3;
     assert!(matches!(
-        Grid::restore(engine, &grid_config(1), &checkpoint),
-        Err(EngineError::BadCheckpoint {
-            field: "hibernated"
+        Grid::restore(engine.clone(), &grid_config(1), &checkpoint),
+        Err(EngineError::UnsupportedVersion {
+            found: 3,
+            supported: CHECKPOINT_VERSION
+        })
+    ));
+
+    let [hot_entry, cold_entry] = [hot, cold].map(|id| grid.session_checkpoint_json(id).unwrap());
+    let old_json = format!(
+        r#"{{"version":3,"shards":2,"queue_capacity":16,"sessions":[{{"session":{hot_entry},"hibernated":null,"pending":[]}},{{"session":null,"hibernated":{cold_entry},"pending":[]}}]}}"#
+    );
+    assert!(matches!(
+        Grid::restore_json(engine, &grid_config(1), &old_json),
+        Err(EngineError::UnsupportedVersion {
+            found: 3,
+            supported: CHECKPOINT_VERSION
         })
     ));
 }

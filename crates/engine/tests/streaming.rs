@@ -1,11 +1,13 @@
 //! End-to-end tests of the streaming engine: equivalence with a
-//! hand-driven tracker, the checkpoint bit-identity guarantee, sniffer
-//! churn, and the user lifecycle.
+//! hand-driven tracker, the checkpoint bit-identity guarantee, delta
+//! chains, version refusal, sniffer churn, and the user lifecycle.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fluxprint_engine::{Engine, EngineError, SessionConfig, UserState};
+use fluxprint_engine::{
+    materialize, DeltaBasis, Engine, EngineError, SessionConfig, UserState, CHECKPOINT_VERSION,
+};
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::Point2;
 use fluxprint_netsim::{Network, NetworkBuilder, NodeId, NoiseModel, ObservationRound, Sniffer};
@@ -140,7 +142,7 @@ fn restore_then_ingest_matches_uninterrupted_run() {
     let json = first_half.checkpoint_json().unwrap();
     drop(first_half);
 
-    let mut revived = engine.restore_json(&json).unwrap();
+    let mut revived = engine.restore_compact_json(&json).unwrap();
     assert_eq!(revived.rounds_ingested(), 4);
     for (round, want) in trace[4..].iter().zip(&reference[4..]) {
         let got = revived.ingest(round).unwrap();
@@ -151,6 +153,117 @@ fn restore_then_ingest_matches_uninterrupted_run() {
     let cp = revived.checkpoint();
     assert_eq!(cp.rounds_ingested, 8);
     assert_eq!(cp.tracker, uninterrupted.checkpoint().tracker);
+}
+
+/// Delta chains over real ingests: a basis opened on a base snapshot
+/// yields one small delta per round, the chain materializes to the
+/// exact live checkpoint, and every abuse of the chain — missing base,
+/// out-of-order links, a foreign base — is rejected with its own error.
+#[test]
+fn delta_chain_materializes_real_ingests_and_rejects_abuse() {
+    let net = network(95);
+    let mut srng = StdRng::seed_from_u64(96);
+    let sniffer = Sniffer::random_count(&net, 60, &mut srng).unwrap();
+    let trace = rounds(&net, &sniffer, 6, 97);
+    let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
+
+    let mut session = engine.open_session(&config(1), 99).unwrap();
+    for round in &trace[..2] {
+        session.ingest(round).unwrap();
+    }
+    let base = session.checkpoint();
+    let mut basis = DeltaBasis::new(&base).unwrap();
+
+    let mut deltas = Vec::new();
+    for round in &trace[2..5] {
+        session.ingest(round).unwrap();
+        deltas.push(session.delta_checkpoint(&mut basis).unwrap());
+    }
+    assert_eq!(deltas.len(), 3);
+    for (i, delta) in deltas.iter().enumerate() {
+        assert_eq!(delta.seq, i as u64 + 1);
+        assert_eq!(delta.base, base.snapshot_id().unwrap());
+    }
+
+    // The materialized chain IS the live state, and it restores into a
+    // session that continues bit-identically.
+    let materialized = materialize(Some(&base), &deltas).unwrap();
+    assert_eq!(materialized, session.checkpoint());
+    let mut revived = engine.restore_compact(&materialized).unwrap();
+    let want = session.ingest(&trace[5]).unwrap();
+    let got = revived.ingest(&trace[5]).unwrap();
+    assert_outcomes_bit_identical(&got, &want);
+
+    // Abuse matrix, each with its own error variant.
+    assert!(matches!(
+        materialize(None, &deltas),
+        Err(EngineError::DeltaBaseMissing { .. })
+    ));
+    let swapped = vec![deltas[1].clone(), deltas[0].clone()];
+    assert!(matches!(
+        materialize(Some(&base), &swapped),
+        Err(EngineError::DeltaChainBroken {
+            expected: 1,
+            found: 2
+        })
+    ));
+    let foreign = engine.open_session(&config(1), 77).unwrap();
+    assert!(matches!(
+        materialize(Some(&foreign.checkpoint()), &deltas),
+        Err(EngineError::DeltaBaseMismatch { .. })
+    ));
+}
+
+/// Session checkpoints written before the compact form became the only
+/// encoding (format version 3 and older) are refused with a typed
+/// version error: the compact shape under the old version number, and
+/// the older full-JSON shape that kept the configuration and model
+/// inside `tracker` rather than at the top level.
+#[test]
+fn pre_bump_session_checkpoints_are_refused() {
+    let net = network(98);
+    let mut srng = StdRng::seed_from_u64(99);
+    let sniffer = Sniffer::random_count(&net, 60, &mut srng).unwrap();
+    let trace = rounds(&net, &sniffer, 2, 100);
+    let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
+    let mut session = engine.open_session(&config(1), 101).unwrap();
+    for round in &trace {
+        session.ingest(round).unwrap();
+    }
+    let json = session.checkpoint_json().unwrap();
+    engine.restore_compact_json(&json).unwrap();
+
+    let mut value: serde_json::Value = serde_json::from_str(&json).unwrap();
+    let serde_json::Value::Object(pairs) = &mut value else {
+        panic!("checkpoint JSON is an object");
+    };
+    for (key, v) in pairs.iter_mut() {
+        if key == "version" {
+            *v = serde_json::json!(3);
+        }
+    }
+    let compact_v3 = serde_json::to_string(&value).unwrap();
+    let serde_json::Value::Object(pairs) = &mut value else {
+        panic!("checkpoint JSON is an object");
+    };
+    pairs.retain(|(key, _)| key != "config" && key != "model");
+    let full_v3 = serde_json::to_string(&value).unwrap();
+
+    for old in [compact_v3, full_v3] {
+        assert!(matches!(
+            engine.restore_compact_json(&old),
+            Err(EngineError::UnsupportedVersion {
+                found: 3,
+                supported: CHECKPOINT_VERSION
+            })
+        ));
+    }
+    let mut cp = session.checkpoint();
+    cp.version = 3;
+    assert!(matches!(
+        engine.restore_compact(&cp),
+        Err(EngineError::UnsupportedVersion { found: 3, .. })
+    ));
 }
 
 #[test]
@@ -267,7 +380,7 @@ fn lifecycle_states_gate_updates() {
     ));
 
     // Departed users survive a checkpoint cycle with their state intact.
-    let revived = engine.restore(&session.checkpoint()).unwrap();
+    let revived = engine.restore_compact(&session.checkpoint()).unwrap();
     assert_eq!(
         revived.user_states(),
         &[UserState::Active, UserState::Departed]

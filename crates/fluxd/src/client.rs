@@ -86,7 +86,11 @@ impl Client {
         self.stall_ns
     }
 
-    /// Per-ack service latencies (submit write → ack read), nanoseconds.
+    /// Per-ack service latencies (submit write → ack read), nanoseconds,
+    /// one per acked batch in ack order. The log is never trimmed: it
+    /// grows by one `u64` per acked batch for the client's lifetime, so a
+    /// long-lived client that does not need it should reconnect now and
+    /// then to bound its memory.
     pub fn latencies_ns(&self) -> &[u64] {
         &self.latencies_ns
     }
@@ -212,7 +216,8 @@ impl Client {
         }
     }
 
-    /// Fetches a session's full checkpoint JSON.
+    /// Fetches a session's checkpoint JSON (the engine's compact form,
+    /// byte-identical to `Session::checkpoint_json`).
     ///
     /// # Errors
     ///

@@ -26,8 +26,10 @@ use fluxprint_netsim::{NodeId, ObservationRound};
 /// Handshake magic, first field of every [`Request::Hello`].
 pub const MAGIC: [u8; 4] = *b"FLXD";
 
-/// Protocol version spoken by this build.
-pub const VERSION: u16 = 1;
+/// Protocol version spoken by this build. Version 2 carries session
+/// checkpoints in the compact form (engine checkpoint format 4); a peer
+/// speaking version 1 is refused with `VersionSkew` at handshake.
+pub const VERSION: u16 = 2;
 
 /// Hard cap on `length` (tag + payload bytes). A length prefix above
 /// this is rejected as [`ProtocolError::Oversized`] before any read.
@@ -273,7 +275,7 @@ pub enum Request {
         /// User index within the session.
         user: u32,
     },
-    /// Full session checkpoint as JSON.
+    /// The session's checkpoint as JSON (the engine's compact form).
     Checkpoint {
         /// Target session id.
         session: u32,

@@ -528,14 +528,16 @@ impl Core {
                 self.handle_submit(conn, t_recv, session, rounds);
             }
             Request::Query { session, user } => {
-                // Queries answer as of everything submitted so far.
+                // Queries answer as of everything submitted so far, and
+                // a hibernated session answers without being revived.
                 self.flush_drain();
-                let response = match self.estimate(session, user) {
-                    Ok((x, y)) => Response::Position {
+                let id = SessionId(session as usize);
+                let response = match self.grid.estimate(id, user as usize) {
+                    Ok(point) => Response::Position {
                         session,
                         user,
-                        x,
-                        y,
+                        x: point.x,
+                        y: point.y,
                     },
                     Err(e) => engine_error_response(&e),
                 };
@@ -562,7 +564,8 @@ impl Core {
             }
             Request::Checkpoint { session } => {
                 self.flush_drain();
-                let response = match self.checkpoint(session) {
+                let id = SessionId(session as usize);
+                let response = match self.grid.session_checkpoint_json(id) {
                     Ok(json) => Response::CheckpointData { session, json },
                     Err(e) => engine_error_response(&e),
                 };
@@ -591,12 +594,6 @@ impl Core {
         Ok(id.index() as u32)
     }
 
-    fn estimate(&mut self, session: u32, user: u32) -> Result<(f64, f64), EngineError> {
-        let live = self.grid.session_mut(SessionId(session as usize))?;
-        let point = live.estimate(user as usize)?;
-        Ok((point.x, point.y))
-    }
-
     fn lifecycle(&mut self, session: u32, user: u32, suspend: bool) -> Result<(), EngineError> {
         let live = self.grid.session_mut(SessionId(session as usize))?;
         if suspend {
@@ -604,12 +601,6 @@ impl Core {
         } else {
             live.resume(user as usize)
         }
-    }
-
-    fn checkpoint(&mut self, session: u32) -> Result<String, EngineError> {
-        self.grid
-            .session_mut(SessionId(session as usize))?
-            .checkpoint_json()
     }
 
     fn handle_submit(

@@ -9,12 +9,13 @@ use std::net::SocketAddr;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fluxprint_engine::{Engine, GridConfig, SessionConfig};
+use fluxprint_engine::{Engine, Grid, GridConfig, SessionConfig, SessionId};
 use fluxprint_fluxd::{server, Client, ServerConfig, SessionSpec, WireOutcome};
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::{Point2, Rect};
 use fluxprint_netsim::{Network, NetworkBuilder, NoiseModel, ObservationRound, Sniffer};
 use fluxprint_smc::StepOutcome;
+use fluxprint_telemetry::names;
 
 const CONNECTIONS: usize = 4;
 const ROUNDS: usize = 6;
@@ -117,7 +118,11 @@ fn assert_bit_identical(conn: usize, served: &[WireOutcome], reference: &[StepOu
     }
 }
 
-fn spawn_server(net: &Network, queue_capacity: usize) -> fluxprint_fluxd::ServerHandle {
+fn spawn_server(
+    net: &Network,
+    queue_capacity: usize,
+    hibernate_after: u64,
+) -> fluxprint_fluxd::ServerHandle {
     let engine = Engine::for_network(net, FluxModel::default()).expect("valid engine");
     server::spawn(
         engine,
@@ -127,7 +132,7 @@ fn spawn_server(net: &Network, queue_capacity: usize) -> fluxprint_fluxd::Server
                 shards: 2,
                 queue_capacity,
                 threads: threads_from_env(),
-                hibernate_after: 0,
+                hibernate_after,
             },
             credits: 0,
             drain_threshold: 0,
@@ -173,7 +178,7 @@ fn served_trajectories_are_bit_identical_to_in_process() {
     let trace = test_trace(&net);
     let reference = reference_outcomes(&net, &trace);
 
-    let server = spawn_server(&net, 16);
+    let server = spawn_server(&net, 16, 0);
     let addr = server.addr();
 
     // Four concurrent connections; the server interleaves their rounds
@@ -206,7 +211,7 @@ fn credit_window_stalls_a_fast_client_without_corrupting_results() {
 
     // A tiny window (2 credits) forces the client to stall on its own
     // acks between batches; the served trajectory must be unaffected.
-    let server = spawn_server(&net, 2);
+    let server = spawn_server(&net, 2, 0);
     let mut client = Client::connect(server.addr()).expect("client connects");
     assert_eq!(client.credits(), 2, "window mirrors queue capacity");
     let session = client
@@ -255,7 +260,7 @@ fn served_checkpoint_matches_in_process_checkpoint() {
     }
     let want = solo.checkpoint_json().expect("checkpoint serializes");
 
-    let server = spawn_server(&net, 16);
+    let server = spawn_server(&net, 16, 0);
     let mut client = Client::connect(server.addr()).expect("client connects");
     let session = client
         .open_session(&SessionSpec {
@@ -273,4 +278,104 @@ fn served_checkpoint_matches_in_process_checkpoint() {
 
     client.goodbye().expect("orderly goodbye");
     server.shutdown().expect("clean shutdown");
+}
+
+/// Reads of hibernated sessions over the wire: with `hibernate_after: 1`
+/// every `Checkpoint` and `Query` below lands on a cold session, and
+/// each answer is bit-identical to an always-resident in-process grid.
+/// The reads answer from the stored checkpoint, so no session is ever
+/// revived: every write goes to a session that is still hot, and
+/// `grid.hibernate.revivals` stays at zero for the server's lifetime.
+#[test]
+fn cold_reads_over_the_wire_match_a_resident_grid_without_revival() {
+    const READERS: usize = 3;
+    const USERS: u32 = 2;
+    let net = test_network();
+    let trace = test_trace(&net);
+    let seeds: Vec<u64> = (0..=READERS).map(session_seed).collect();
+    let user_spec = |seed| SessionSpec {
+        seed,
+        users: USERS,
+        ..spec()
+    };
+
+    // Always-resident reference: the same sessions and rounds.
+    let engine = Engine::for_network(&net, FluxModel::default()).expect("valid engine");
+    let resident = GridConfig {
+        shards: 2,
+        queue_capacity: 16,
+        threads: 1,
+        hibernate_after: 0,
+    };
+    let mut reference = Grid::open(engine, &resident).expect("grid opens");
+    let session_config = SessionConfig {
+        users: USERS as usize,
+        smc: fluxprint_smc::SmcConfig {
+            n_predictions: N_PREDICTIONS as usize,
+            keep_m: KEEP_M as usize,
+            ..Default::default()
+        },
+        start_time: 0.0,
+        warm: false,
+    };
+    for &seed in &seeds {
+        let id = reference
+            .open_session(&session_config, seed)
+            .expect("session opens");
+        for round in &trace {
+            reference.submit(id, round.clone()).expect("round queues");
+        }
+        reference.drain().expect("rounds ingest");
+    }
+
+    // Served: each session is opened and fed its whole trace in one
+    // frame once the previous one is acked, so the only drain it is
+    // idle through is the next session's. That drain evicts it; the
+    // last session exists only to evict the readers before them.
+    let server = spawn_server(&net, 16, 1);
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    let mut ids = Vec::new();
+    for &seed in &seeds {
+        let id = client
+            .open_session(&user_spec(seed))
+            .expect("session opens");
+        client.submit(id, &trace).expect("trace submits");
+        client.wait_acks().expect("acks arrive");
+        ids.push(id);
+    }
+    for pass in 0..2 {
+        for (s, &id) in ids[..READERS].iter().enumerate() {
+            let at = format!("pass {pass} session {s}");
+            let want = reference
+                .session_checkpoint_json(SessionId(s))
+                .expect("checkpoint serializes");
+            let got = client.checkpoint(id).expect("checkpoint arrives");
+            assert_eq!(got, want, "{at}: served checkpoint bytes");
+            for user in 0..USERS {
+                let (x, y) = client.query(id, user).expect("query answers");
+                let point = reference
+                    .session(SessionId(s))
+                    .expect("resident")
+                    .estimate(user as usize)
+                    .expect("user in range");
+                assert_eq!(x.to_bits(), point.x.to_bits(), "{at} user {user}: x");
+                assert_eq!(y.to_bits(), point.y.to_bits(), "{at} user {user}: y");
+            }
+        }
+    }
+    client.goodbye().expect("orderly goodbye");
+    server.shutdown().expect("clean shutdown");
+
+    // The core thread's telemetry is merged at shutdown. No other test
+    // in this binary hibernates, so these counts are this server's.
+    let telemetry = fluxprint_telemetry::snapshot();
+    assert!(
+        telemetry.counter(names::GRID_HIBERNATE_EVICTIONS) >= READERS as u64,
+        "every reader went cold"
+    );
+    assert_eq!(
+        telemetry.counter(names::GRID_HIBERNATE_REVIVALS),
+        0,
+        "cold reads revived a session"
+    );
 }

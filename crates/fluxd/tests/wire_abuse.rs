@@ -134,6 +134,17 @@ fn server_rejects_malformed_bytes_with_typed_errors() {
         .expect("hello encodes");
     assert_error(abuse(&addr, &skew, false), ErrorCode::VersionSkew);
 
+    // Hello from a build before the compact wire checkpoint (protocol
+    // version 1): refused at handshake, never served the new encoding.
+    let mut old = Vec::new();
+    Request::Hello {
+        version: VERSION - 1,
+    }
+    .encode_into(&mut old)
+    .expect("hello encodes");
+    assert_eq!(VERSION - 1, 1);
+    assert_error(abuse(&addr, &old, false), ErrorCode::VersionSkew);
+
     // A structurally valid Query carrying trailing garbage.
     let mut query = Vec::new();
     query.extend_from_slice(&0u32.to_le_bytes());

@@ -1,21 +1,22 @@
-//! Serializable tracker state snapshots.
+//! Tracker state snapshots and their one serialized form.
 //!
 //! A [`Tracker`](crate::Tracker) is a live object holding an
 //! `Arc<dyn Boundary>`; the boundary is scenario geometry, not tracker
 //! state, so it cannot (and should not) travel through serde. Everything
 //! else — per-user weighted samples, freeze times, initialization flags,
 //! the §4.C heading history, the configuration, and the flux model — is
-//! captured by [`TrackerState`], a plain data snapshot with derived serde
-//! impls. [`Tracker::state`](crate::Tracker::state) produces it and
+//! captured by [`TrackerState`], a plain in-memory snapshot.
+//! [`Tracker::state`](crate::Tracker::state) produces it and
 //! [`Tracker::from_state`](crate::Tracker::from_state) revives it against
 //! a caller-supplied boundary, validating every invariant the live
 //! tracker relies on.
 //!
-//! The round-trip is exact: every float is preserved bit-for-bit (JSON
-//! serialization in this workspace's `serde_json` stand-in goes through
-//! `f64` without rounding), so a revived tracker continues producing
-//! bit-identical [`StepOutcome`](crate::StepOutcome)s — the engine
-//! crate's checkpoint guarantee builds directly on this.
+//! The serialized form is [`CompactTrackerState`]: pooled, base64-packed
+//! raw `f64` bits, so [`TrackerState::compact`] →
+//! [`CompactTrackerState::expand`] is exact bit-for-bit and a revived
+//! tracker continues producing bit-identical
+//! [`StepOutcome`](crate::StepOutcome)s — the engine crate's checkpoint
+//! guarantee builds directly on this.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +27,7 @@ use crate::{SmcConfig, SmcError, WeightedSample};
 
 /// Snapshot of one tracked user: the `<P(i), w(i)>` duples of §4.D plus
 /// the asynchronous-gate bookkeeping of §4.E.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserTrackState {
     /// The user's current weighted position samples.
     pub samples: Vec<WeightedSample>,
@@ -78,10 +79,11 @@ impl UserTrackState {
     }
 }
 
-/// Complete serializable tracker state: configuration, flux model, and
-/// every user's track. Produced by [`Tracker::state`](crate::Tracker::state),
-/// revived by [`Tracker::from_state`](crate::Tracker::from_state).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Complete tracker state: configuration, flux model, and every user's
+/// track. Produced by [`Tracker::state`](crate::Tracker::state), revived
+/// by [`Tracker::from_state`](crate::Tracker::from_state), serialized
+/// through [`compact`](Self::compact).
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrackerState {
     /// The tracker's configuration.
     pub config: SmcConfig,
@@ -211,7 +213,7 @@ impl CompactUserTrackState {
     ///
     /// Returns [`SmcError::BadConfig`] naming the offending field.
     pub fn validate(&self) -> Result<(), SmcError> {
-        self.decode().map(|_| ())
+        self.expand().map(|_| ())
     }
 
     /// Expands the compact form back into a full [`UserTrackState`],
@@ -222,10 +224,6 @@ impl CompactUserTrackState {
     ///
     /// As [`validate`](Self::validate).
     pub fn expand(&self) -> Result<UserTrackState, SmcError> {
-        self.decode()
-    }
-
-    fn decode(&self) -> Result<UserTrackState, SmcError> {
         let pos_bytes = b64_decode(&self.pos_pool).ok_or(SmcError::BadConfig {
             field: "compact.pos_pool",
         })?;
@@ -329,24 +327,34 @@ impl TrackerState {
 }
 
 impl CompactTrackerState {
-    /// Validates the compact snapshot's invariants without expanding it
-    /// into sample vectors held all at once.
+    /// Validates the compact snapshot's invariants, decoding each user's
+    /// blobs in turn (never all of them at once).
     ///
     /// # Errors
     ///
     /// Returns [`SmcError::ZeroUsers`] for an empty user list and
     /// [`SmcError::BadConfig`] for any other violation.
     pub fn validate(&self) -> Result<(), SmcError> {
+        self.validate_shape()?;
+        self.users
+            .iter()
+            .try_for_each(CompactUserTrackState::validate)
+    }
+
+    /// The checks that need no blob decoding: a nonempty user list,
+    /// histories within the cap, and a finite step clock.
+    fn validate_shape(&self) -> Result<(), SmcError> {
         if self.users.is_empty() {
             return Err(SmcError::ZeroUsers);
         }
-        for user in &self.users {
-            user.validate()?;
-            if user.history.len() > self.history_cap.min(2) as usize {
-                return Err(SmcError::BadConfig {
-                    field: "compact.history",
-                });
-            }
+        if self
+            .users
+            .iter()
+            .any(|u| u.history.len() > self.history_cap.min(2) as usize)
+        {
+            return Err(SmcError::BadConfig {
+                field: "compact.history",
+            });
         }
         if !self.last_step_time.is_finite() {
             return Err(SmcError::BadConfig {
@@ -365,9 +373,9 @@ impl CompactTrackerState {
     /// Returns [`SmcError::BadConfig`] with field `compact.history_cap`
     /// when the pack-time cap was below 2 but `config.heading_bias` is
     /// nonzero (the truncation would change stepping), and otherwise as
-    /// [`TrackerState::validate`].
+    /// [`validate`](Self::validate) and [`TrackerState::validate`].
     pub fn expand(&self, config: SmcConfig, model: FluxModel) -> Result<TrackerState, SmcError> {
-        self.validate()?;
+        self.validate_shape()?;
         // fluxlint: allow(float-eq) — exact-zero sentinel: any nonzero bias reads history[1]
         if self.history_cap < 2 && config.heading_bias != 0.0 {
             return Err(SmcError::BadConfig {

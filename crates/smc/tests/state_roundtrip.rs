@@ -1,12 +1,12 @@
-//! Tracker state snapshot round-trips: serde must preserve every float
-//! bit-for-bit, and a revived tracker must continue the exact stream of
-//! outcomes the original would have produced.
+//! Tracker state snapshot round-trips: the compact JSON form must
+//! preserve every float bit-for-bit, and a revived tracker must continue
+//! the exact stream of outcomes the original would have produced.
 
 use std::sync::Arc;
 
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::{Point2, Rect};
-use fluxprint_smc::{SmcConfig, SmcError, Tracker, TrackerState};
+use fluxprint_smc::{CompactTrackerState, SmcConfig, SmcError, Tracker, TrackerState};
 use fluxprint_solver::FluxObjective;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,6 +45,14 @@ fn config() -> SmcConfig {
     }
 }
 
+/// Packs `state` at the lossless history cap, serializes and parses the
+/// compact form, and expands it under the original configuration.
+fn through_json(state: &TrackerState) -> TrackerState {
+    let json = serde_json::to_string(&state.compact(2)).unwrap();
+    let parsed: CompactTrackerState = serde_json::from_str(&json).unwrap();
+    parsed.expand(state.config, state.model).unwrap()
+}
+
 #[test]
 fn json_round_trip_is_exact() {
     let mut rng = StdRng::seed_from_u64(41);
@@ -60,8 +68,7 @@ fn json_round_trip_is_exact() {
     }
 
     let state = tracker.state();
-    let json = serde_json::to_string(&state).unwrap();
-    let parsed: TrackerState = serde_json::from_str(&json).unwrap();
+    let parsed = through_json(&state);
     assert_eq!(parsed, state, "serde round-trip must be lossless");
 
     // Field-level bit-identity spot checks (PartialEq on f64 would accept
@@ -91,8 +98,7 @@ fn revived_tracker_continues_bit_identically() {
 
     // Checkpoint through JSON, then drive both trackers with identical
     // RNG streams (captured at the checkpoint instant).
-    let json = serde_json::to_string(&original.state()).unwrap();
-    let state: TrackerState = serde_json::from_str(&json).unwrap();
+    let state = through_json(&original.state());
     let mut revived = Tracker::from_state(state, field()).unwrap();
     assert_eq!(revived.k(), original.k());
     assert_eq!(revived.time(), original.time());
